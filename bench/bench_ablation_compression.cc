@@ -1,9 +1,11 @@
 // Ablation C: compressed label storage. Extends the Figure 6/11 index-size
-// story: the 12-byte working entries delta/varint-encode to a fraction of
-// their raw size, at an (measured) decode cost per query.
+// story: the flat CSR labels (12-byte entries plus hub directories)
+// delta/varint-encode to a fraction of their size (CompressedFlatLabelSet,
+// the v3 snapshot backend), at a (measured) streaming-decode cost per
+// query.
 
 #include "bench_common.h"
-#include "labeling/compressed_labels.h"
+#include "labeling/compressed_flat.h"
 
 using namespace wcsd;
 using namespace wcsd::bench;
@@ -21,8 +23,9 @@ void RunFamily(const std::vector<std::string>& names, bool social,
     Dataset d = social ? MakeSocialDataset(name, config.scale)
                        : MakeRoadDataset(name, config.scale);
     WcIndex index = WcIndex::Build(d.graph, WcIndexOptions::Plus());
-    CompressedLabelSet compressed =
-        CompressedLabelSet::Compress(index.labels());
+    index.Finalize();
+    CompressedFlatLabelSet compressed =
+        CompressedFlatLabelSet::FromFlat(index.flat_labels());
     auto workload =
         MakeQueryWorkload(d.graph, config.queries, config.seed);
     double raw_ms = TimeQueriesMs(
@@ -30,7 +33,8 @@ void RunFamily(const std::vector<std::string>& names, bool social,
         [&](Vertex s, Vertex t, Quality w) { return index.Query(s, t, w); });
     double compressed_ms = TimeQueriesMs(
         workload, [&](Vertex s, Vertex t, Quality w) {
-          return compressed.Query(s, t, w);
+          if (s == t) return Distance{0};
+          return QueryCompressedMerge(compressed, s, compressed, t, w);
         });
     char ratio[16];
     std::snprintf(ratio, sizeof(ratio), "%.2fx",

@@ -4,8 +4,9 @@
 // so every run leaves a machine-readable BENCH_<suite>.json next to the
 // console output. `threads` and `backend` are recovered from the benchmark
 // name's Arg annotations ("/threads:4", "/backend:1" with 0 = vector,
-// 1 = flat); benchmarks without the annotation record threads=1, backend
-// "vector".
+// 1 = flat). Benchmarks without a /backend: argument name the backend they
+// serve through SetBackend (flat, mmap, compressed); the rest record
+// threads=1, backend "vector".
 
 #ifndef WCSD_BENCH_BENCH_JSON_H_
 #define WCSD_BENCH_BENCH_JSON_H_
@@ -27,6 +28,27 @@ inline long ArgFromRunName(const std::string& name, const std::string& key,
   return std::strtol(name.c_str() + pos + key.size() + 1, nullptr, 10);
 }
 
+/// Names the label backend a benchmark without a /backend: argument
+/// serves ("flat", "mmap", "compressed"); recorded as the run's label.
+/// Like every label, it must be set after the benchmark loop.
+inline void SetBackend(benchmark::State& state, const char* backend) {
+  state.SetLabel(std::string("backend:") + backend);
+}
+
+/// The backend a run served: its /backend: argument, else its SetBackend
+/// label, else "vector".
+inline std::string BackendOf(const benchmark::BenchmarkReporter::Run& run) {
+  const std::string name = run.benchmark_name();
+  if (name.find("backend:") != std::string::npos) {
+    return ArgFromRunName(name, "backend", 0) == 1 ? "flat" : "vector";
+  }
+  const std::string prefix = "backend:";
+  if (run.report_label.compare(0, prefix.size(), prefix) == 0) {
+    return run.report_label.substr(prefix.size());
+  }
+  return "vector";
+}
+
 /// Console reporter that also feeds every run into a BenchJsonWriter.
 class JsonExportReporter : public benchmark::ConsoleReporter {
  public:
@@ -45,8 +67,7 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
           benchmark::GetTimeUnitMultiplier(run.time_unit);
       record.threads =
           static_cast<size_t>(ArgFromRunName(record.name, "threads", 1));
-      record.backend =
-          ArgFromRunName(record.name, "backend", 0) == 1 ? "flat" : "vector";
+      record.backend = BackendOf(run);
       for (const auto& [name, counter] : run.counters) {
         record.counters.emplace_back(name,
                                      static_cast<double>(counter.value));

@@ -33,11 +33,12 @@
 #include "net/swap_service.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
 namespace {
+
+using bench::SetBackend;
 
 constexpr int kBenchShards = 4;
 
@@ -138,6 +139,7 @@ void BM_LoadFull(benchmark::State& state) {
     benchmark::DoNotOptimize(loaded.value().TotalEntries());
   }
   state.counters["entries"] = static_cast<double>(f.total_entries);
+  SetBackend(state, "vector");
 }
 BENCHMARK(BM_LoadFull)->Arg(0)->Arg(1)->ArgNames({"size"})
     ->Unit(benchmark::kMicrosecond);
@@ -152,6 +154,7 @@ void BM_LoadMmap(benchmark::State& state) {
     benchmark::DoNotOptimize(loaded.value().finalized());
   }
   state.counters["entries"] = static_cast<double>(f.total_entries);
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_LoadMmap)->Arg(0)->Arg(1)->ArgNames({"size"})
     ->Unit(benchmark::kMicrosecond);
@@ -179,6 +182,7 @@ void BM_ServeBatchThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(workload.size()));
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_ServeBatchThroughput)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -191,16 +195,16 @@ void BM_ShardedBatchThroughput(benchmark::State& state) {
   const ServeFixture& f = FixtureForSize(1);
   QueryEngineOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
-  static std::unique_ptr<ShardedQueryEngine> engine;
+  static std::unique_ptr<QueryEngine> engine;
   static size_t engine_threads = 0;
   if (!engine || engine_threads != options.num_threads) {
-    auto opened = ShardedQueryEngine::OpenMmap(f.shard_paths, options);
+    auto opened = QueryEngine::OpenMmap(f.shard_paths, options);
     if (!opened.ok()) {
       state.SkipWithError("sharded open failed");
       return;
     }
     engine =
-        std::make_unique<ShardedQueryEngine>(std::move(opened).value());
+        std::make_unique<QueryEngine>(std::move(opened).value());
     engine_threads = options.num_threads;
   }
   const auto& workload = ServeWorkload();
@@ -209,6 +213,7 @@ void BM_ShardedBatchThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(workload.size()));
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_ShardedBatchThroughput)
     ->Arg(1)->Arg(4)
@@ -239,6 +244,7 @@ void BM_ShardPlan(benchmark::State& state) {
   state.counters["planned_skew"] = f.planned_skew;
   state.counters["even_skew"] = f.even_skew;
   state.counters["shards"] = kBenchShards;
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_ShardPlan)->Unit(benchmark::kMicrosecond);
 
@@ -249,7 +255,7 @@ void BM_ManifestOpen(benchmark::State& state) {
   QueryEngineOptions options;
   options.num_threads = 1;
   for (auto _ : state) {
-    auto engine = ShardedQueryEngine::OpenManifest(f.manifest_path, options);
+    auto engine = QueryEngine::OpenManifest(f.manifest_path, options);
     if (!engine.ok()) {
       state.SkipWithError("manifest open failed");
       return;
@@ -257,6 +263,7 @@ void BM_ManifestOpen(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.value().NumVertices());
   }
   state.counters["shards"] = kBenchShards;
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_ManifestOpen)->Unit(benchmark::kMicrosecond);
 
@@ -266,16 +273,16 @@ void BM_PlannedShardedBatchThroughput(benchmark::State& state) {
   const ServeFixture& f = FixtureForSize(1);
   QueryEngineOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
-  static std::unique_ptr<ShardedQueryEngine> engine;
+  static std::unique_ptr<QueryEngine> engine;
   static size_t engine_threads = 0;
   if (!engine || engine_threads != options.num_threads) {
-    auto opened = ShardedQueryEngine::OpenManifest(f.manifest_path, options);
+    auto opened = QueryEngine::OpenManifest(f.manifest_path, options);
     if (!opened.ok()) {
       state.SkipWithError("manifest open failed");
       return;
     }
     engine =
-        std::make_unique<ShardedQueryEngine>(std::move(opened).value());
+        std::make_unique<QueryEngine>(std::move(opened).value());
     engine_threads = options.num_threads;
   }
   const auto& workload = ServeWorkload();
@@ -285,6 +292,7 @@ void BM_PlannedShardedBatchThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(workload.size()));
   state.counters["planned_skew"] = f.planned_skew;
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_PlannedShardedBatchThroughput)
     ->Arg(1)->Arg(4)
@@ -301,15 +309,15 @@ void BM_ShardLocalThroughput(benchmark::State& state) {
   const int shard = static_cast<int>(state.range(0));
   QueryEngineOptions options;
   options.num_threads = 1;
-  static std::unique_ptr<ShardedQueryEngine> engine;
+  static std::unique_ptr<QueryEngine> engine;
   if (!engine) {
-    auto opened = ShardedQueryEngine::OpenManifest(f.manifest_path, options);
+    auto opened = QueryEngine::OpenManifest(f.manifest_path, options);
     if (!opened.ok()) {
       state.SkipWithError("manifest open failed");
       return;
     }
     engine =
-        std::make_unique<ShardedQueryEngine>(std::move(opened).value());
+        std::make_unique<QueryEngine>(std::move(opened).value());
   }
   if (static_cast<size_t>(shard) >= f.plan.shards.size()) {
     state.SkipWithError("shard index out of range");
@@ -331,6 +339,7 @@ void BM_ShardLocalThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(workload.size()));
   state.counters["shard_bytes"] = static_cast<double>(range.bytes);
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_ShardLocalThroughput)
     ->DenseRange(0, kBenchShards - 1)
@@ -381,6 +390,7 @@ void BM_CompressedServeThroughput(benchmark::State& state) {
           ? static_cast<double>(stats.decode_hits) / decode_lookups
           : 0.0;
   state.counters["cold_pageins"] = static_cast<double>(stats.cold_pageins);
+  SetBackend(state, compressed ? "compressed" : "mmap");
 }
 BENCHMARK(BM_CompressedServeThroughput)
     // {compressed, decode cache MiB}: flat baseline, then the compressed
@@ -423,12 +433,15 @@ void BM_ServeTopKClosest(benchmark::State& state) {
     sources.push_back(static_cast<Vertex>(rng.NextBounded(n)));
   }
   size_t si = 0;
+  std::vector<RankedCandidate> ranked;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine->TopK(sources[si++ % sources.size()], candidates, 3.0f, k));
+    engine->TopKEx(sources[si++ % sources.size()], candidates, 3.0f, k,
+                   &ranked);
+    benchmark::DoNotOptimize(ranked);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(num_candidates));
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_ServeTopKClosest)
     ->Args({8, 64})->Args({8, 512})->Args({64, 512})
@@ -473,6 +486,7 @@ void BM_QualityProfile(benchmark::State& state) {
   state.counters["merges_per_query"] =
       calls > 0 ? static_cast<double>(merges) / static_cast<double>(calls)
                 : 0.0;
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_QualityProfile)
     ->Arg(6)->Arg(64)
@@ -516,6 +530,7 @@ void BM_ConstrainedPath(benchmark::State& state) {
   state.counters["parent_steps"] = static_cast<double>(stats.parent_steps);
   state.counters["fallback_steps"] =
       static_cast<double>(stats.fallback_steps);
+  SetBackend(state, "flat");
 }
 BENCHMARK(BM_ConstrainedPath)
     ->Arg(0)->Arg(1)
@@ -581,6 +596,7 @@ void BM_ZipfServeThroughput(benchmark::State& state) {
   state.counters["cache_misses"] = static_cast<double>(stats.cache_misses);
   state.counters["cache_evictions"] =
       static_cast<double>(stats.cache_evictions);
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_ZipfServeThroughput)
     // {theta x100, vary_w, cache}: three skews (0.6 mild, 0.99 the classic
@@ -624,6 +640,7 @@ void BM_HotSwapLatency(benchmark::State& state) {
   }
   state.counters["generations"] =
       static_cast<double>(swappable.generation());
+  SetBackend(state, "mmap");
 }
 BENCHMARK(BM_HotSwapLatency)->Unit(benchmark::kNanosecond);
 
@@ -703,6 +720,7 @@ void BM_PostSwapCacheRetention(benchmark::State& state) {
       state.iterations() > 0
           ? dropped / static_cast<double>(state.iterations())
           : 0.0;
+  SetBackend(state, "flat");
 }
 BENCHMARK(BM_PostSwapCacheRetention)
     ->UseRealTime()

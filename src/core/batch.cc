@@ -1,9 +1,8 @@
 #include "core/batch.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "serve/query_engine.h"
+#include "util/thread_pool.h"
 
 namespace wcsd {
 
@@ -11,29 +10,28 @@ std::vector<Distance> BatchQuery(const WcIndex& index,
                                  const std::vector<BatchQueryInput>& queries,
                                  size_t threads) {
   std::vector<Distance> results(queries.size(), kInfDistance);
-  if (queries.empty()) return results;
-  QueryEngineOptions options;
-  // Cap workers at one chunk each: spawning threads a transient pool
-  // cannot feed is pure startup overhead.
-  size_t max_useful =
-      (queries.size() + options.min_chunk - 1) / options.min_chunk;
-  threads = std::max<size_t>(1, std::min(threads, max_useful));
-  if (threads == 1) {
-    for (size_t i = 0; i < queries.size(); ++i) {
+  auto run = [&](size_t begin, size_t end, size_t) {
+    for (size_t i = begin; i < end; ++i) {
       results[i] = index.Query(queries[i].s, queries[i].t, queries[i].w);
     }
+  };
+  // Cap workers at one chunk each: spawning threads a transient pool
+  // cannot feed is pure startup overhead.
+  constexpr size_t kMinChunk = 64;
+  const size_t max_useful = (queries.size() + kMinChunk - 1) / kMinChunk;
+  threads = std::max<size_t>(1, std::min(threads, max_useful));
+  if (threads == 1) {
+    run(0, queries.size(), 0);
     return results;
   }
-
-  // Route through the serving engine: a transient QueryEngine wrapping the
-  // caller's index (non-owning alias — the index outlives this call).
-  // Long-lived servers should hold a QueryEngine directly and amortize the
-  // pool across batches.
-  options.num_threads = threads;
-  QueryEngine engine(
-      std::shared_ptr<const WcIndex>(std::shared_ptr<const void>(), &index),
-      options);
-  return engine.Batch(queries);
+  // ~4 chunks per worker so stragglers rebalance. Long-lived servers should
+  // hold a QueryEngine (serve/query_engine.h) and amortize its pool across
+  // batches.
+  ThreadPool pool(threads);
+  const size_t target = threads * 4;
+  RunChunked(&pool, queries.size(),
+             std::max(kMinChunk, (queries.size() + target - 1) / target), run);
+  return results;
 }
 
 std::vector<RankedCandidate> TopKClosest(const WcIndex& index, Vertex source,

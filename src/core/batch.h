@@ -79,8 +79,8 @@ std::vector<ProfilePoint> QualityProfile(
     const std::vector<Quality>& thresholds, size_t* label_merges = nullptr);
 
 // ------------------------------------------------------------------
-// Implementation cores shared with the serving engines (sharded serving
-// stitches per-vertex label slices from different shards, so the cores are
+// Implementation cores shared with the serving engine (which stitches
+// per-vertex label slices from different shards, so the cores are
 // parameterized over an entries accessor / interval kernel).
 
 /// One-to-many top-k over any label storage: `entries_of(v)` returns the

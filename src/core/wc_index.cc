@@ -386,7 +386,9 @@ FlatLabelView WcIndex::DecodedView(Vertex v) const {
 Distance WcIndex::Query(Vertex s, Vertex t, Quality w) const {
   if (s >= NumVertices() || t >= NumVertices()) return kInfDistance;
   if (s == t) return 0;
-  if (compressed_backend_) return QueryCompressedMerge(compressed_, s, t, w);
+  if (compressed_backend_) {
+    return QueryCompressedMerge(compressed_, s, compressed_, t, w);
+  }
   if (finalized_) return QueryFlatMerge(flat_.View(s), flat_.View(t), w);
   return QueryLabelsMerge(labels_.For(s), labels_.For(t), w);
 }
@@ -399,7 +401,7 @@ Distance WcIndex::Query(Vertex s, Vertex t, Quality w, QueryImpl impl) const {
     // paths) run the flat kernels over per-vertex decodes — bit-identical
     // either way.
     if (impl == QueryImpl::kMerge) {
-      return QueryCompressedMerge(compressed_, s, t, w);
+      return QueryCompressedMerge(compressed_, s, compressed_, t, w);
     }
     return QueryFlat(DecodedView(s), DecodedView(t), w, impl);
   }

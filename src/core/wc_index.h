@@ -260,7 +260,7 @@ class WcIndex {
   /// append-oriented labels() are empty, so dynamic updates and
   /// construction-side reuse need Load instead. Only full-range snapshots
   /// with an order section qualify — shard files go through
-  /// ShardedQueryEngine. A v3 compressed snapshot loads into the
+  /// QueryEngine::OpenMmap. A v3 compressed snapshot loads into the
   /// compressed backend (see compressed()): label bytes stay on disk and
   /// page in on first decode.
   static Result<WcIndex> LoadMmap(const std::string& path,

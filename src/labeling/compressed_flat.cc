@@ -330,6 +330,7 @@ namespace {
 /// instead of reading out of bounds (same trust model as the flat
 /// kernels, minus their crash classes).
 struct GroupCursor {
+  std::span<const Quality> dict;  // this side's quality dictionary
   const uint8_t* p = nullptr;
   const uint8_t* end = nullptr;
   uint64_t groups_left = 0;
@@ -337,6 +338,7 @@ struct GroupCursor {
   uint64_t count = 0;  // entries in the current group (header consumed)
 
   bool Init(const CompressedFlatLabelSet& labels, Vertex v) {
+    dict = labels.raw_dictionary();
     const auto comp = labels.raw_comp_offsets();
     const auto blob = labels.raw_blob();
     const uint64_t lo = std::min<uint64_t>(comp[v], blob.size());
@@ -373,7 +375,7 @@ struct GroupCursor {
   /// Consumes the current group's entries, returning the distance of the
   /// first entry with quality >= w (kInfDistance if none) — the Theorem 3
   /// choice, exactly what FirstWithQuality picks on the decoded group.
-  Distance FirstDistWithQuality(std::span<const Quality> dict, Quality w) {
+  Distance FirstDistWithQuality(Quality w) {
     Distance found = kInfDistance;
     uint64_t dist = 0;
     for (uint64_t i = 0; i < count; ++i) {
@@ -396,16 +398,15 @@ struct GroupCursor {
 
 }  // namespace
 
-Distance QueryCompressedMerge(const CompressedFlatLabelSet& labels, Vertex s,
+Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
+                              Vertex s, const CompressedFlatLabelSet& t_labels,
                               Vertex t, Quality w) {
-  if (s >= labels.NumVertices() || t >= labels.NumVertices()) {
+  if (s >= s_labels.NumVertices() || t >= t_labels.NumVertices()) {
     return kInfDistance;
   }
-  if (s == t) return 0;
   GroupCursor cs, ct;
-  bool s_ok = cs.Init(labels, s);
-  bool t_ok = ct.Init(labels, t);
-  const std::span<const Quality> dict = labels.raw_dictionary();
+  bool s_ok = cs.Init(s_labels, s);
+  bool t_ok = ct.Init(t_labels, t);
   Distance best = kInfDistance;
   while (s_ok && t_ok) {
     if (cs.hub < ct.hub) {
@@ -413,8 +414,8 @@ Distance QueryCompressedMerge(const CompressedFlatLabelSet& labels, Vertex s,
     } else if (ct.hub < cs.hub) {
       t_ok = ct.SkipEntriesAndAdvance();
     } else {
-      const Distance ds = cs.FirstDistWithQuality(dict, w);
-      const Distance dt = ct.FirstDistWithQuality(dict, w);
+      const Distance ds = cs.FirstDistWithQuality(w);
+      const Distance dt = ct.FirstDistWithQuality(w);
       if (ds != kInfDistance && dt != kInfDistance) {
         const Distance sum = ds + dt;
         if (sum < best) best = sum;

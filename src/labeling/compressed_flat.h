@@ -139,7 +139,7 @@ class CompressedFlatLabelSet {
 
   /// Chains this set's decoded entry/group payload CRCs onto the caller's
   /// running values — the shard-set form of ContentFingerprint (see
-  /// ShardedQueryEngine::ContentFingerprint). Returns false when a vertex
+  /// QueryEngine::ContentFingerprint). Returns false when a vertex
   /// fails to decode. Costs a full decode pass.
   bool ChainContentCrcs(uint32_t* entries_crc, uint32_t* groups_crc) const;
 
@@ -175,13 +175,18 @@ class CompressedFlatLabelSet {
   bool external_ = false;
 };
 
-/// Streaming kMerge kernel over two compressed labels: two group cursors
+/// Streaming kMerge kernel over two compressed labels, L(s) from
+/// `s_labels` and L(t) from `t_labels` (the same set for a whole index;
+/// two shards' sets — each with its own quality dictionary — for a
+/// cross-shard pair; s and t are local to their sets). Two group cursors
 /// walk the varint streams directly — matched groups are scanned for the
 /// first entry with quality >= w (Theorem 3), unmatched groups are skipped
 /// without building a single LabelEntry. Bit-identical to QueryFlatMerge
 /// on the decoded labels (tested); bounds-checked, so corrupt bytes
-/// degrade to "stream ends early" instead of reading out of range.
-Distance QueryCompressedMerge(const CompressedFlatLabelSet& labels, Vertex s,
+/// degrade to "stream ends early" instead of reading out of range. An
+/// endpoint out of its set's range answers kInfDistance.
+Distance QueryCompressedMerge(const CompressedFlatLabelSet& s_labels,
+                              Vertex s, const CompressedFlatLabelSet& t_labels,
                               Vertex t, Quality w);
 
 }  // namespace wcsd

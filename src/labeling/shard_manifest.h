@@ -8,7 +8,7 @@
 // manifest, so the set is relocatable), its [begin, end) vertex range, its
 // entry/group/byte mass, the snapshot header CRC of the file that was
 // written, and a content fingerprint of the whole logical index.
-// ShardedQueryEngine::OpenManifest opens the set through it and
+// QueryEngine::OpenManifest opens the set through it and
 // cross-checks all of that against the files it maps.
 //
 // File layout (little-endian fixed width, util/endian.h contract):

@@ -11,7 +11,7 @@
 //
 // A snapshot may cover the full vertex range or a contiguous shard
 // [vertex_begin, vertex_end) of a larger logical index; shard files rebase
-// the offset arrays so each file is self-contained. serve/sharded_engine.h
+// the offset arrays so each file is self-contained. serve/query_engine.h
 // stitches shard snapshots back into one logical index.
 //
 // File layout (all fields little-endian, fixed width; see util/endian.h):
@@ -157,7 +157,7 @@ struct SnapshotWriteOptions {
 
 /// Writes a full-range snapshot of `flat`. Pass the index's order so
 /// WcIndex::LoadMmap can restore rank lookups; pass nullptr for a
-/// label-only snapshot (servable through ShardedQueryEngine or raw views).
+/// label-only snapshot (servable through QueryEngine::OpenMmap or raw views).
 /// `parents`, when non-empty, must hold exactly one parent vertex per flat
 /// entry (same order) and is written as the v2 parents section.
 Status WriteSnapshot(const std::string& path, const FlatLabelSet& flat,

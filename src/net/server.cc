@@ -51,47 +51,6 @@ class EngineService final : public QueryService {
       const std::vector<BatchQueryInput>& queries) const override {
     return engine_->Batch(queries);
   }
-  uint64_t NumVertices() const override {
-    return engine_->index().NumVertices();
-  }
-  QueryEngineStats Stats() const override { return engine_->stats(); }
-  ServeOutcome TopKEx(Vertex source, std::span<const Vertex> candidates,
-                      Quality w, size_t k,
-                      std::vector<RankedCandidate>* out) const override {
-    *out = engine_->TopK(source, candidates, w, k);
-    return ServeOutcome::kOk;
-  }
-  ServeOutcome ProfileEx(Vertex s, Vertex t,
-                         std::span<const Quality> thresholds,
-                         std::vector<ProfilePoint>* out) const override {
-    *out = engine_->Profile(s, t, thresholds);
-    return ServeOutcome::kOk;
-  }
-  ServeOutcome PathEx(Vertex s, Vertex t, Quality w,
-                      std::vector<Vertex>* out) const override {
-    if (!engine_->has_graph()) return ServeOutcome::kNotSupported;
-    Result<std::vector<Vertex>> path = engine_->Path(s, t, w);
-    if (!path.ok()) return ServeOutcome::kNotSupported;
-    *out = std::move(path).value();
-    return ServeOutcome::kOk;
-  }
-
- private:
-  std::shared_ptr<const QueryEngine> engine_;
-};
-
-class ShardedService final : public QueryService {
- public:
-  explicit ShardedService(std::shared_ptr<const ShardedQueryEngine> engine)
-      : engine_(std::move(engine)) {}
-
-  Distance Query(Vertex s, Vertex t, Quality w) const override {
-    return engine_->Query(s, t, w);
-  }
-  std::vector<Distance> Batch(
-      const std::vector<BatchQueryInput>& queries) const override {
-    return engine_->Batch(queries);
-  }
   uint64_t NumVertices() const override { return engine_->NumVertices(); }
   QueryEngineStats Stats() const override { return engine_->stats(); }
   std::vector<ShardBalanceEntry> ShardBalance() const override {
@@ -121,7 +80,7 @@ class ShardedService final : public QueryService {
   }
 
  private:
-  std::shared_ptr<const ShardedQueryEngine> engine_;
+  std::shared_ptr<const QueryEngine> engine_;
 };
 
 }  // namespace
@@ -129,11 +88,6 @@ class ShardedService final : public QueryService {
 std::shared_ptr<QueryService> MakeQueryService(
     std::shared_ptr<const QueryEngine> engine) {
   return std::make_shared<EngineService>(std::move(engine));
-}
-
-std::shared_ptr<QueryService> MakeQueryService(
-    std::shared_ptr<const ShardedQueryEngine> engine) {
-  return std::make_shared<ShardedService>(std::move(engine));
 }
 
 struct WcServer::Impl {

@@ -1,4 +1,4 @@
-// WcServer: a dependency-free epoll TCP front end over the serving engines.
+// WcServer: a dependency-free epoll TCP front end over the serving engine.
 //
 // The engine layer (serve/query_engine.h) turned the index into a
 // thread-safe in-process service; WcServer turns that service into a
@@ -55,14 +55,13 @@
 #include "net/wire.h"
 #include "serve/batch_runner.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace wcsd {
 
 /// The request-routing surface the server needs from a serving engine.
-/// Implementations must be safe to call from any thread (both engines are).
+/// Implementations must be safe to call from any thread (the engine is).
 class QueryService {
  public:
   virtual ~QueryService() = default;
@@ -71,14 +70,15 @@ class QueryService {
       const std::vector<BatchQueryInput>& queries) const = 0;
   virtual uint64_t NumVertices() const = 0;
   virtual QueryEngineStats Stats() const = 0;
-  /// Per-shard balance for the wire Stats frame; empty when the engine is
-  /// not sharded.
+  /// Per-shard balance for the wire Stats frame; empty when the engine
+  /// serves a whole index rather than a shard set.
   virtual std::vector<ShardBalanceEntry> ShardBalance() const { return {}; }
 
   /// Outcome-reporting variants for degraded-mode engines. The defaults
-  /// delegate to Query/Batch and always succeed; a sharded engine serving
-  /// with quarantined shards overrides them to refuse queries whose label
-  /// slices are unavailable (the server surfaces kShardUnavailable).
+  /// delegate to Query/Batch and always succeed; the engine adapter
+  /// overrides them so a shard set serving with quarantined shards can
+  /// refuse queries whose label slices are unavailable (the server
+  /// surfaces kShardUnavailable).
   virtual ServeOutcome QueryEx(Vertex s, Vertex t, Quality w,
                                Distance* out) const {
     *out = Query(s, t, w);
@@ -92,8 +92,8 @@ class QueryService {
 
   /// The v6 query families. Defaults report kNotSupported so a minimal
   /// service implementation keeps working: the server answers the frames
-  /// with a clean kNotSupported error instead of wrong data. Both engine
-  /// adapters override all three (path only serves when the engine was
+  /// with a clean kNotSupported error instead of wrong data. The engine
+  /// adapter overrides all three (path only serves when the engine was
   /// configured with a graph).
   virtual ServeOutcome TopKEx(Vertex source,
                               std::span<const Vertex> candidates, Quality w,
@@ -115,12 +115,10 @@ class QueryService {
   }
 };
 
-/// Adapters for the two engines. The shared_ptr keeps the engine (and its
-/// mmap'd snapshot) alive for the service's lifetime.
+/// The engine adapter. The shared_ptr keeps the engine (and its mmap'd
+/// labels) alive for the service's lifetime.
 std::shared_ptr<QueryService> MakeQueryService(
     std::shared_ptr<const QueryEngine> engine);
-std::shared_ptr<QueryService> MakeQueryService(
-    std::shared_ptr<const ShardedQueryEngine> engine);
 
 struct WcServerOptions {
   /// Address to bind. Loopback by default: exposing an index to a wider

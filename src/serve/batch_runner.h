@@ -1,23 +1,14 @@
-// Shared serving scaffold: chunked fan-out over a ThreadPool with per-call
-// completion tracking, plus the per-worker stats slots and the batch-body
-// template both engines (QueryEngine, ShardedQueryEngine) run on.
-//
-// ThreadPool::Wait waits for GLOBAL quiescence, which is wrong for a
-// serving engine: two user threads batching against the same engine would
-// each block on the other's work. RunChunked instead counts down its own
-// chunks on the caller's stack, so concurrent batches share the pool's
-// workers but complete independently.
+// Serving scaffold: the per-worker stats slots and the batch body the
+// engine (serve/query_engine.h) runs on, fanned out over a ThreadPool by
+// RunChunked (util/thread_pool.h).
 
 #ifndef WCSD_SERVE_BATCH_RUNNER_H_
 #define WCSD_SERVE_BATCH_RUNNER_H_
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -81,36 +72,6 @@ inline size_t ResolveServeThreads(size_t num_threads) {
   return hw == 0 ? 1 : hw;
 }
 
-/// Applies `fn(begin, end, worker)` to consecutive chunks of [0, n) and
-/// blocks until every chunk has run. With a null pool or a single chunk the
-/// call is inline (worker 0). Safe to call from multiple threads on one
-/// pool concurrently.
-inline void RunChunked(
-    ThreadPool* pool, size_t n, size_t chunk,
-    const std::function<void(size_t begin, size_t end, size_t worker)>& fn) {
-  if (n == 0) return;
-  chunk = std::max<size_t>(1, chunk);
-  const size_t num_chunks = (n + chunk - 1) / chunk;
-  if (pool == nullptr || num_chunks <= 1) {
-    fn(0, n, 0);
-    return;
-  }
-  std::mutex mu;
-  std::condition_variable done;
-  size_t remaining = num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    pool->Submit([&, begin, end](size_t worker) {
-      fn(begin, end, worker);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining == 0; });
-}
-
 /// Per-worker counter slot, cache-line padded so workers never share a
 /// line. Relaxed atomics: single queries may come from arbitrary caller
 /// threads, and stats() may race a batch in flight.
@@ -171,10 +132,10 @@ struct ServeStatsBlock {
   std::atomic<uint64_t> path_fallbacks{0};
 };
 
-/// The batch body shared by both engines: evaluate `fn(query)` for every
-/// input across the pool in contiguous chunks, accumulating per-thread
-/// scratch counters locally and publishing once per chunk. Results are
-/// positionally aligned with the inputs.
+/// The engine's batch body: evaluate `fn(query)` for every input across
+/// the pool in contiguous chunks, accumulating per-thread scratch counters
+/// locally and publishing once per chunk. Results are positionally aligned
+/// with the inputs.
 template <typename QueryFn>
 std::vector<Distance> RunServeBatch(ThreadPool* pool, size_t num_threads,
                                     size_t min_chunk, ServeStatsBlock& stats,

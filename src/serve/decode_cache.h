@@ -22,7 +22,7 @@
 // Inserts that fit without displacement are always admitted.
 //
 // The cache stores plain decoded bytes keyed by a caller-chosen id (the
-// GLOBAL vertex id, so a sharded engine can share one cache across
+// GLOBAL vertex id, so the engine shares one cache across its
 // shards). It is bound to one index for its lifetime — engines create it
 // per open and never share it across generations, so no fingerprint
 // protocol is needed.

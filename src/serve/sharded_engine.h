@@ -1,267 +1,16 @@
-// Sharded serving: vertex-range shard snapshots as one logical index.
-//
-// A 2-hop labeling has a property that makes range sharding trivial to
-// serve: a query (s, t, w) reads exactly two label slices, L(s) and L(t),
-// and hubs are global ranks, so the slices intersect correctly no matter
-// which files they came from. The engine maps one snapshot per shard
-// (each written by WriteSnapshotShard, covering a contiguous vertex range)
-// and routes each endpoint to its shard's mapping — one process can serve
-// an index whose snapshots it would not want to hold as a single file, or
-// page shards in and out via the OS with per-shard locality.
-//
-// Shards must tile [0, num_vertices_total) exactly; OpenMmap validates
-// this and fails with a clean Status otherwise.
-//
-// Degraded mode: OpenManifest can optionally quarantine a shard that is
-// missing or corrupt instead of failing the whole open. The engine then
-// serves every query whose two label slices live in healthy shards
-// bit-identically to the intact index (the 2-hop property again: a query
-// touches exactly its endpoints' shards), while queries touching a
-// quarantined range get a clean kShardUnavailable outcome — or, when a
-// fallback graph is provided, an exact online ConstrainedDijkstraUnit
-// answer at graph-search cost.
+// ShardedQueryEngine: another name for QueryEngine (serve/query_engine.h),
+// which serves shard sets and whole snapshots alike (a whole snapshot is
+// the one-shard tiling). Kept for code that spells the engine this way,
+// such as the benchmark harness in perfbench/.
 
 #ifndef WCSD_SERVE_SHARDED_ENGINE_H_
 #define WCSD_SERVE_SHARDED_ENGINE_H_
 
-#include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
-#include <vector>
-
-#include "core/batch.h"
-#include "labeling/compressed_flat.h"
-#include "labeling/flat_label_set.h"
-#include "labeling/query.h"
-#include "labeling/shard_manifest.h"
-#include "labeling/snapshot.h"
-#include "serve/batch_runner.h"
-#include "serve/decode_cache.h"
 #include "serve/query_engine.h"
-#include "serve/result_cache.h"
-#include "util/status.h"
-#include "util/thread_pool.h"
-#include "util/types.h"
 
 namespace wcsd {
 
-class QualityGraph;
-
-/// Outcome of serving one request against a possibly-degraded engine.
-enum class ServeOutcome : uint8_t {
-  kOk = 0,
-  /// The request needs a label slice from a quarantined shard; no result
-  /// was produced. Retrying the same engine will not help until the shard
-  /// is repaired.
-  kShardUnavailable = 1,
-  /// The service cannot serve this request family at all (path
-  /// reconstruction without a configured graph); retrying never helps.
-  kNotSupported = 2,
-};
-
-/// One shard's static contribution to the stitched index, for balance
-/// reporting (wire Stats, CLI, benches). A quarantined shard reports its
-/// planned range with zero mass: its labels never loaded.
-struct ShardBalanceEntry {
-  uint64_t vertex_begin = 0;
-  uint64_t vertex_end = 0;
-  uint64_t entry_count = 0;
-  uint64_t label_bytes = 0;  // CSR bytes served from this shard's mapping
-  bool quarantined = false;
-
-  friend bool operator==(const ShardBalanceEntry&,
-                         const ShardBalanceEntry&) = default;
-};
-
-/// Degraded-mode policy for OpenManifest.
-struct DegradedOpenOptions {
-  /// When true, a shard that fails to load (missing file, corrupt header,
-  /// checksum mismatch, manifest cross-check failure) is quarantined
-  /// instead of failing the open: the engine starts without its labels and
-  /// refuses only the queries that need them. At least one shard must
-  /// load, and the manifest itself must be intact.
-  bool quarantine_failed_shards = false;
-  /// Optional online fallback: when set, queries touching a quarantined
-  /// shard are answered exactly (but slowly) by ConstrainedDijkstraUnit on
-  /// this graph instead of refused. The graph must outlive the engine.
-  const QualityGraph* fallback_graph = nullptr;
-};
-
-class ShardedQueryEngine {
- public:
-  /// Maps every shard snapshot and validates that together they tile the
-  /// full vertex range of one logical index. Failure messages name the
-  /// offending shard file and its (range-sorted) index.
-  static Result<ShardedQueryEngine> OpenMmap(
-      const std::vector<std::string>& shard_paths,
-      QueryEngineOptions options = {}, const SnapshotLoadOptions& load = {});
-
-  /// Opens a shard set through its manifest (labeling/shard_manifest.h):
-  /// reads the manifest, validates its tiling, maps every referenced shard
-  /// (paths resolved relative to the manifest), and cross-checks each
-  /// file's header — vertex range, totals, entry counts, and the recorded
-  /// snapshot header CRC — against the manifest. With `load.verify_checksums`
-  /// additionally verifies every shard's section checksums and recomputes
-  /// the index content fingerprint across the set. Every failure names the
-  /// offending shard.
-  static Result<ShardedQueryEngine> OpenManifest(
-      const std::string& manifest_path, QueryEngineOptions options = {},
-      const SnapshotLoadOptions& load = {},
-      const DegradedOpenOptions& degraded = {});
-
-  ShardedQueryEngine(ShardedQueryEngine&&) = default;
-  ShardedQueryEngine& operator=(ShardedQueryEngine&&) = default;
-
-  /// One query against the stitched index. Callable from any thread. In
-  /// degraded mode, a query refused for a quarantined shard reports
-  /// kInfDistance here — use QueryEx when the distinction matters.
-  Distance Query(Vertex s, Vertex t, Quality w) const;
-
-  /// Batch evaluation across the engine's pool; results positionally
-  /// aligned with the inputs. Callable concurrently from many threads.
-  /// Degraded-mode refusals report kInfDistance; use BatchEx to detect
-  /// them.
-  std::vector<Distance> Batch(
-      const std::vector<BatchQueryInput>& queries) const;
-
-  /// Outcome-reporting query: like Query, but a degraded-mode refusal is
-  /// reported as kShardUnavailable instead of folded into kInfDistance.
-  ServeOutcome QueryEx(Vertex s, Vertex t, Quality w, Distance* out) const;
-
-  /// Outcome-reporting batch. A batch touching any quarantined range (with
-  /// no fallback configured) is refused whole with kShardUnavailable and
-  /// `out` left empty: distances are plain u32s on the wire with no
-  /// per-query error channel, and a partially-trustworthy batch is worse
-  /// than a clean refusal the client can route around.
-  ServeOutcome BatchEx(const std::vector<BatchQueryInput>& queries,
-                       std::vector<Distance>* out) const;
-
-  /// One-to-many top-k closest against the stitched index (core/batch.h
-  /// TopKClosest semantics; the source scan and per-candidate passes read
-  /// each vertex's shard slice). Refused whole with kShardUnavailable when
-  /// the source or ANY candidate lives in a quarantined shard — a ranking
-  /// silently missing candidates is worse than a clean refusal — and the
-  /// online Dijkstra fallback does not apply (it covers the distance
-  /// endpoints only).
-  ServeOutcome TopKEx(Vertex source, std::span<const Vertex> candidates,
-                      Quality w, size_t k,
-                      std::vector<RankedCandidate>* out) const;
-
-  /// Quality profile for (s, t) (core/batch.h QualityProfile semantics):
-  /// one interval merge per distinct certified interval. Refused with
-  /// kShardUnavailable when either endpoint is quarantined (the interval
-  /// kernel reads label slices; the Dijkstra fallback does not apply).
-  ServeOutcome ProfileEx(Vertex s, Vertex t,
-                         std::span<const Quality> thresholds,
-                         std::vector<ProfilePoint>* out) const;
-
-  /// Constrained shortest path via index-guided greedy stepping: shard
-  /// slices carry no parent quads, so every step probes the neighbors of
-  /// the current vertex for one whose remaining distance shrinks by one.
-  /// Requires a graph (QueryEngineOptions::graph; kNotSupported without).
-  /// Refused with kShardUnavailable when an endpoint — or every viable
-  /// next hop of some step — is quarantined. Empty `out` with kOk =
-  /// unreachable.
-  ServeOutcome PathEx(Vertex s, Vertex t, Quality w,
-                      std::vector<Vertex>* out) const;
-
-  /// True when a path graph was configured (PathEx can serve).
-  bool has_graph() const { return options_.graph != nullptr; }
-
-  /// True when OpenManifest quarantined at least one shard.
-  bool degraded() const { return num_quarantined_ > 0; }
-  size_t num_quarantined() const { return num_quarantined_; }
-
-  size_t NumVertices() const { return num_vertices_; }
-  size_t num_shards() const { return shards_.size(); }
-  size_t num_threads() const { return pool_ ? pool_->size() : 1; }
-  QueryEngineStats stats() const;
-
-  /// True when any shard serves the compressed label backend (shard files
-  /// written under SnapshotWriteOptions::compress; mixed sets are fine —
-  /// each shard serves from whatever backend its file carries).
-  bool compressed() const { return num_compressed_ > 0; }
-
-  /// The result cache, or null when options.cache_bytes == 0.
-  const ResultCache* cache() const { return cache_.get(); }
-
-  /// The decoded-label cache, or null unless a compressed shard is being
-  /// served with options.decode_cache_bytes > 0. Shared across shards,
-  /// keyed by global vertex id.
-  const DecodedLabelCache* decode_cache() const { return decode_cache_.get(); }
-
-  /// The stitched index's content fingerprint when caching, 0 otherwise.
-  uint64_t cache_fingerprint() const { return cache_fingerprint_; }
-
-  /// Per-shard ranges and label mass, in tiling order. What the wire
-  /// Stats frame reports as shard balance.
-  std::vector<ShardBalanceEntry> ShardBalance() const;
-
- private:
-  struct Shard {
-    uint64_t begin = 0;
-    uint64_t end = 0;
-    FlatLabelSet labels;  // keeps its shard's mapping alive; empty when
-                          // quarantined or compressed
-    std::string path;     // where the mapping came from, for diagnostics
-    bool quarantined = false;
-    /// Compressed (v3) shard files serve from here instead of `labels`;
-    /// the set keeps the mapping alive the same way.
-    CompressedFlatLabelSet compressed;
-    bool is_compressed = false;
-  };
-
-  ShardedQueryEngine() = default;
-
-  /// Sorts `shards`, validates the tiling (messages name the offending
-  /// shard), and finishes construction. `num_vertices` is the logical
-  /// index's total from the shard headers. `known_fingerprint` spares the
-  /// cache's full-label-pass ContentFingerprint when the caller already
-  /// holds the index identity (the manifest records it; its header CRC
-  /// cross-checks prove the mapped files are the recorded ones).
-  static Result<ShardedQueryEngine> Assemble(
-      std::vector<Shard> shards, uint64_t num_vertices,
-      QueryEngineOptions options,
-      std::optional<uint64_t> known_fingerprint = std::nullopt);
-
-  /// Label view of vertex v, routed to its shard. Must not be called for
-  /// a vertex in a quarantined shard (callers check Unavailable first).
-  /// A flat shard returns a view straight into its mapping (`scratch`
-  /// untouched); a compressed shard decodes into `scratch` — through the
-  /// decode cache when configured — and returns a view over it, so the
-  /// view lives as long as the caller's scratch. A failed decode (corrupt
-  /// bytes below the deep-validation tiers) yields an empty view, which
-  /// answers like an unreachable vertex.
-  FlatLabelView ViewOf(Vertex v, DecodedLabel* scratch) const;
-  /// True when v's labels live in a quarantined shard.
-  bool Unavailable(Vertex v) const;
-  Distance QueryNoStats(Vertex s, Vertex t, Quality w) const;
-  /// QueryEx without the per-query stats update (the batch path records
-  /// per-chunk).
-  ServeOutcome QueryExNoStats(Vertex s, Vertex t, Quality w,
-                              Distance* out) const;
-
-  /// The tiling-invariant content fingerprint of the stitched index —
-  /// identical to IndexContentFingerprint of the unsharded flat labels and
-  /// to the shard-set manifest's recorded fingerprint, however the range
-  /// was cut. One pass over every shard's label bytes; only computed when
-  /// the cache needs a snapshot identity to bind to.
-  uint64_t ContentFingerprint() const;
-
-  std::vector<Shard> shards_;       // sorted by begin, tiling [0, n)
-  std::vector<uint64_t> begins_;    // shards_[i].begin, for binary search
-  uint64_t num_vertices_ = 0;
-  size_t num_quarantined_ = 0;
-  size_t num_compressed_ = 0;
-  const QualityGraph* fallback_graph_ = nullptr;  // not owned; may be null
-  QueryEngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<ServeStatsBlock> stats_;
-  std::shared_ptr<ResultCache> cache_;  // null when caching is off
-  std::shared_ptr<DecodedLabelCache> decode_cache_;  // null unless cold tier
-  uint64_t cache_fingerprint_ = 0;
-};
+using ShardedQueryEngine = QueryEngine;
 
 }  // namespace wcsd
 

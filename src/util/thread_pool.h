@@ -5,10 +5,18 @@
 // cost per batch (batches can be as small as the thread count). Tasks
 // receive the index of the worker executing them, so callers can hand each
 // worker its own scratch state (BuildWorkspace) without synchronization.
+//
+// RunChunked is the fan-out the serving engine and BatchQuery use.
+// ThreadPool::Wait waits for GLOBAL quiescence, which is wrong for a
+// serving engine: two user threads batching against the same engine would
+// each block on the other's work. RunChunked instead counts down its own
+// chunks on the caller's stack, so concurrent batches share the pool's
+// workers but complete independently.
 
 #ifndef WCSD_UTIL_THREAD_POOL_H_
 #define WCSD_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -92,6 +100,36 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Applies `fn(begin, end, worker)` to consecutive chunks of [0, n) and
+/// blocks until every chunk has run. With a null pool or a single chunk the
+/// call is inline (worker 0). Safe to call from multiple threads on one
+/// pool concurrently.
+inline void RunChunked(
+    ThreadPool* pool, size_t n, size_t chunk,
+    const std::function<void(size_t begin, size_t end, size_t worker)>& fn) {
+  if (n == 0) return;
+  chunk = std::max<size_t>(1, chunk);
+  const size_t num_chunks = (n + chunk - 1) / chunk;
+  if (pool == nullptr || num_chunks <= 1) {
+    fn(0, n, 0);
+    return;
+  }
+  std::mutex mu;
+  std::condition_variable done;
+  size_t remaining = num_chunks;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t begin = c * chunk;
+    const size_t end = std::min(n, begin + chunk);
+    pool->Submit([&, begin, end](size_t worker) {
+      fn(begin, end, worker);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) done.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  done.wait(lock, [&] { return remaining == 0; });
+}
 
 }  // namespace wcsd
 

@@ -25,7 +25,6 @@
 #include "paper_fixtures.h"
 #include "serve/decode_cache.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -102,7 +101,7 @@ TEST(CompressedFlat, StreamingMergeIsBitIdenticalToFlatKernels) {
     Quality w = static_cast<Quality>(rng.NextInRange(1, 6));
     Distance expected =
         QueryFlat(flat.View(s), flat.View(t), w, QueryImpl::kMerge);
-    ASSERT_EQ(QueryCompressedMerge(compressed, s, t, w), expected)
+    ASSERT_EQ(QueryCompressedMerge(compressed, s, compressed, t, w), expected)
         << "s=" << s << " t=" << t << " w=" << w;
   }
 }
@@ -182,7 +181,7 @@ TEST(CompressedFlat, BlobCorruptionIsBoundsCheckedAndValidatable) {
     }
     // The streaming kernel walks the same bytes; it must stay in bounds
     // whatever it answers.
-    (void)QueryCompressedMerge(corrupt, 0, 1, 1.0f);
+    (void)QueryCompressedMerge(corrupt, 0, corrupt, 1, 1.0f);
     blob[at] = old;
   }
 }
@@ -194,7 +193,8 @@ TEST(CompressedFlat, EmptySet) {
   EXPECT_EQ(compressed.TotalEntries(), 0u);
   EXPECT_TRUE(compressed.Validate(ValidateLevel::kDeep).ok());
   // Out-of-range endpoints answer unreachable, mirroring WcIndex::Query.
-  EXPECT_EQ(QueryCompressedMerge(compressed, 0, 0, 1.0f), kInfDistance);
+  EXPECT_EQ(QueryCompressedMerge(compressed, 0, compressed, 0, 1.0f),
+            kInfDistance);
 }
 
 // ---- v3 snapshot format ----
@@ -398,7 +398,7 @@ TEST(CompressedFlat, CompressedShardSetServesIdentically) {
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
   verify.verify_level = SnapshotVerifyLevel::kDeep;
-  auto engine = ShardedQueryEngine::OpenManifest(
+  auto engine = QueryEngine::OpenManifest(
       written.value().manifest_path, {}, verify);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE(engine.value().compressed());
@@ -433,7 +433,7 @@ TEST(CompressedFlat, MixedBackendShardsServeIdentically) {
   ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, mid, n, {}, compress).ok());
   ASSERT_TRUE(WriteSnapshotShard(b, flat, mid, n, n).ok());
 
-  auto engine = ShardedQueryEngine::OpenMmap({a, b});
+  auto engine = QueryEngine::OpenMmap({a, b});
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE(engine.value().compressed());
 
@@ -610,8 +610,11 @@ TEST(CompressedFlat, TopKAndProfileMatchAcrossBackends) {
       candidates.push_back(static_cast<Vertex>(rng.NextBounded(n)));
     }
     Quality w = static_cast<Quality>(rng.NextInRange(1, 6));
-    auto a = flat_engine.value().TopK(source, candidates, w, 5);
-    auto b = comp_engine.value().TopK(source, candidates, w, 5);
+    std::vector<RankedCandidate> a, b;
+    ASSERT_EQ(flat_engine.value().TopKEx(source, candidates, w, 5, &a),
+              ServeOutcome::kOk);
+    ASSERT_EQ(comp_engine.value().TopKEx(source, candidates, w, 5, &b),
+              ServeOutcome::kOk);
     ASSERT_EQ(a.size(), b.size());
     for (size_t j = 0; j < a.size(); ++j) {
       ASSERT_EQ(a[j].vertex, b[j].vertex);
@@ -620,8 +623,11 @@ TEST(CompressedFlat, TopKAndProfileMatchAcrossBackends) {
     Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     std::vector<Quality> thresholds = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
-    auto pa = flat_engine.value().Profile(s, t, thresholds);
-    auto pb = comp_engine.value().Profile(s, t, thresholds);
+    std::vector<ProfilePoint> pa, pb;
+    ASSERT_EQ(flat_engine.value().ProfileEx(s, t, thresholds, &pa),
+              ServeOutcome::kOk);
+    ASSERT_EQ(comp_engine.value().ProfileEx(s, t, thresholds, &pb),
+              ServeOutcome::kOk);
     ASSERT_EQ(pa.size(), pb.size());
     for (size_t j = 0; j < pa.size(); ++j) {
       ASSERT_EQ(pa[j].dist, pb[j].dist);

@@ -54,7 +54,9 @@ TEST(FlatLabelSet, HubDirectoryMatchesGroupStructure) {
       for (size_t i = entry; i < ge; ++i) {
         EXPECT_EQ(view.entries[i].hub, view.groups[g].hub);
       }
-      if (g > 0) EXPECT_LT(view.groups[g - 1].hub, view.groups[g].hub);
+      if (g > 0) {
+        EXPECT_LT(view.groups[g - 1].hub, view.groups[g].hub);
+      }
       entry = ge;
     }
     EXPECT_EQ(entry, view.entries.size());

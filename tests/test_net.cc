@@ -128,7 +128,6 @@ TEST(WcServer, BitIdenticalToInProcessForEveryImpl) {
                          QueryImpl::kBinary, QueryImpl::kMerge}) {
     QueryEngineOptions options;
     options.num_threads = 2;
-    options.impl = impl;
     auto engine = std::make_shared<const QueryEngine>(f.index, options);
     WcServer server = StartServer(MakeQueryService(engine));
     WcClient client = ConnectTo(server);
@@ -167,10 +166,10 @@ TEST(WcServer, ServesShardedBackendIdentically) {
   }
   QueryEngineOptions options;
   options.num_threads = 2;
-  auto sharded = ShardedQueryEngine::OpenMmap(paths, options);
+  auto sharded = QueryEngine::OpenMmap(paths, options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   WcServer server = StartServer(MakeQueryService(
-      std::make_shared<const ShardedQueryEngine>(std::move(sharded).value())));
+      std::make_shared<const QueryEngine>(std::move(sharded).value())));
   WcClient client = ConnectTo(server);
 
   auto health = client.Health();

@@ -45,7 +45,6 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -435,7 +434,9 @@ TEST_F(NetFaultsTest, DrainFinishesInFlightWithZeroDropped) {
     // answers, and it says so.
     auto health = client.HealthEx();
     EXPECT_TRUE(health.ok()) << health.status().ToString();
-    if (health.ok()) EXPECT_TRUE(health.value().draining);
+    if (health.ok()) {
+      EXPECT_TRUE(health.value().draining);
+    }
   }
   // Client destroyed -> last connection closed -> drain returns.
   drainer.join();
@@ -500,13 +501,13 @@ bool Touches(const DegradedSet& set, const BatchQueryInput& q) {
 TEST_F(NetFaultsTest, QuarantineIsOptIn) {
   DegradedSet set = MakeDegradedSet(41, "optin");
   // Default: a corrupt shard fails the whole open.
-  auto strict = ShardedQueryEngine::OpenManifest(set.manifest_path);
+  auto strict = QueryEngine::OpenManifest(set.manifest_path);
   EXPECT_FALSE(strict.ok());
 
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE(engine.value().degraded());
   EXPECT_EQ(engine.value().num_quarantined(), 1u);
@@ -517,8 +518,8 @@ TEST_F(NetFaultsTest, DegradedServesHealthyRangesBitIdentically) {
   DegradedSet set = MakeDegradedSet(42, "healthy");
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   size_t healthy = 0;
@@ -570,8 +571,8 @@ TEST_F(NetFaultsTest, FallbackGraphAnswersQuarantinedRangeExactly) {
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
   degraded.fallback_graph = &set.fixture.graph;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   // With the fallback, EVERY query answers exactly — quarantined ranges
@@ -594,8 +595,8 @@ TEST_F(NetFaultsTest, MissingShardFileQuarantinesToo) {
   std::remove(set.shard_paths[2].c_str());
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine.value().num_quarantined(), 2u);
 
@@ -617,8 +618,8 @@ TEST_F(NetFaultsTest, AllShardsFailedRefusesToOpen) {
   }
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = true;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, {}, {},
-                                                 degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, {}, {},
+                                          degraded);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kUnavailable);
 }
@@ -633,11 +634,11 @@ TEST_F(NetFaultsTest, DegradedShardSetServesOverTheWire) {
   degraded.quarantine_failed_shards = true;
   QueryEngineOptions eopts;
   eopts.num_threads = 1;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, eopts,
-                                                 {}, degraded);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, eopts,
+                                          {}, degraded);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   WcServer server = StartServer(MakeQueryService(
-      std::make_shared<const ShardedQueryEngine>(std::move(engine).value())));
+      std::make_shared<const QueryEngine>(std::move(engine).value())));
   WcClient client = ConnectTo(server);
 
   size_t refused = 0;
@@ -726,8 +727,12 @@ TEST_F(NetFaultsTest, RandomizedFaultSoakStaysBitIdentical) {
 
     if (reset_round) {
       // Clean outcomes only: either served identically or a typed error.
-      if (piped.ok()) EXPECT_EQ(piped.value(), f.expected);
-      if (batch.ok()) EXPECT_EQ(batch.value(), f.expected);
+      if (piped.ok()) {
+        EXPECT_EQ(piped.value(), f.expected);
+      }
+      if (batch.ok()) {
+        EXPECT_EQ(batch.value(), f.expected);
+      }
     } else {
       ASSERT_TRUE(piped.ok())
           << "round " << round << " send=" << send_spec

@@ -49,8 +49,13 @@ class ParallelBuildIdentityTest : public testing::TestWithParam<IdentityCase> {
 
 std::string IdentityCaseName(const testing::TestParamInfo<IdentityCase>& info) {
   auto [graph_kind, threads, batch] = info.param;
-  return "g" + std::to_string(graph_kind) + "t" + std::to_string(threads) +
-         "b" + std::to_string(batch);
+  std::string name = "g";
+  name += std::to_string(graph_kind);
+  name += "t";
+  name += std::to_string(threads);
+  name += "b";
+  name += std::to_string(batch);
+  return name;
 }
 
 TEST_P(ParallelBuildIdentityTest, MatchesSequentialBitForBit) {

@@ -1,7 +1,7 @@
 // The dominance-aware result cache (serve/result_cache.h): interval
 // semantics, undirected key normalization, replacement under a fixed
 // budget, fingerprint invalidation, engine wiring (QueryEngine and
-// ShardedQueryEngine answer bit-identically with the cache on), and a
+// QueryEngine answer bit-identically with the cache on), and a
 // concurrent hit/insert/invalidate hammer for the TSan CI job.
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "labeling/snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -346,51 +345,47 @@ TEST(ResultCache, CachedQueryEngineAnswersBitIdentically) {
   auto shared = std::make_shared<const WcIndex>(std::move(index));
   const size_t n = shared->NumVertices();
 
-  for (QueryImpl impl : {QueryImpl::kScan, QueryImpl::kHubGrouped,
-                         QueryImpl::kBinary, QueryImpl::kMerge}) {
-    QueryEngineOptions plain_options;
-    plain_options.num_threads = 1;
-    plain_options.impl = impl;
-    QueryEngine plain(shared, plain_options);
+  QueryEngineOptions plain_options;
+  plain_options.num_threads = 1;
+  QueryEngine plain(shared, plain_options);
 
-    QueryEngineOptions cached_options = plain_options;
-    cached_options.cache_bytes = 64 << 10;
-    QueryEngine cached(shared, cached_options);
-    ASSERT_NE(cached.cache(), nullptr);
-    ASSERT_EQ(cached.cache()->fingerprint(),
-              IndexContentFingerprint(shared->flat_labels()));
+  QueryEngineOptions cached_options = plain_options;
+  cached_options.cache_bytes = 64 << 10;
+  QueryEngine cached(shared, cached_options);
+  ASSERT_NE(cached.cache(), nullptr);
+  ASSERT_EQ(cached.cache()->fingerprint(),
+            IndexContentFingerprint(shared->flat_labels()));
 
-    // Two passes over a repeating workload: the second is mostly hits and
-    // must still be bit-identical.
-    auto queries = MakeCacheWorkload(n, 300, 5);
-    const std::vector<BatchQueryInput> repeats(queries.begin(),
-                                               queries.begin() + 150);
-    queries.insert(queries.end(), repeats.begin(), repeats.end());
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const BatchQueryInput& q : queries) {
-        ASSERT_EQ(cached.Query(q.s, q.t, q.w), plain.Query(q.s, q.t, q.w))
-            << "pass=" << pass << " s=" << q.s << " t=" << q.t
-            << " w=" << q.w;
-      }
-      ASSERT_EQ(cached.Batch(queries), plain.Batch(queries)) << "pass="
-                                                             << pass;
+  // Two passes over a repeating workload: the second is mostly hits and
+  // must still be bit-identical.
+  auto queries = MakeCacheWorkload(n, 300, 5);
+  const std::vector<BatchQueryInput> repeats(queries.begin(),
+                                             queries.begin() + 150);
+  queries.insert(queries.end(), repeats.begin(), repeats.end());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const BatchQueryInput& q : queries) {
+      ASSERT_EQ(cached.Query(q.s, q.t, q.w), plain.Query(q.s, q.t, q.w))
+          << "pass=" << pass << " s=" << q.s << " t=" << q.t
+          << " w=" << q.w;
     }
-
-    QueryEngineStats stats = cached.stats();
-    EXPECT_GT(stats.cache_hits, 0u);
-    EXPECT_GT(stats.cache_misses, 0u);
-    EXPECT_GT(stats.cache_inserts, 0u);
-    // Degenerate queries bypass the cache entirely.
-    Distance self = cached.Query(3, 3, 1.0f);
-    Distance oob = cached.Query(0, static_cast<Vertex>(n + 7), 1.0f);
-    EXPECT_EQ(self, 0u);
-    EXPECT_EQ(oob, kInfDistance);
-    EXPECT_EQ(cached.stats().cache_hits + cached.stats().cache_misses,
-              stats.cache_hits + stats.cache_misses);
-    // An uncached engine reports zero cache counters.
-    EXPECT_EQ(plain.stats().cache_hits, 0u);
-    EXPECT_EQ(plain.stats().cache_misses, 0u);
+    ASSERT_EQ(cached.Batch(queries), plain.Batch(queries)) << "pass="
+                                                           << pass;
   }
+
+  QueryEngineStats stats = cached.stats();
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_GT(stats.cache_misses, 0u);
+  EXPECT_GT(stats.cache_inserts, 0u);
+  // Degenerate queries bypass the cache entirely.
+  Distance self = cached.Query(3, 3, 1.0f);
+  Distance oob = cached.Query(0, static_cast<Vertex>(n + 7), 1.0f);
+  EXPECT_EQ(self, 0u);
+  EXPECT_EQ(oob, kInfDistance);
+  EXPECT_EQ(cached.stats().cache_hits + cached.stats().cache_misses,
+            stats.cache_hits + stats.cache_misses);
+  // An uncached engine reports zero cache counters.
+  EXPECT_EQ(plain.stats().cache_hits, 0u);
+  EXPECT_EQ(plain.stats().cache_misses, 0u);
 }
 
 TEST(ResultCache, CachedShardedEngineAnswersBitIdentically) {
@@ -411,12 +406,12 @@ TEST(ResultCache, CachedShardedEngineAnswersBitIdentically) {
 
   QueryEngineOptions plain_options;
   plain_options.num_threads = 1;
-  auto plain = ShardedQueryEngine::OpenMmap(paths, plain_options);
+  auto plain = QueryEngine::OpenMmap(paths, plain_options);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   QueryEngineOptions cached_options = plain_options;
   cached_options.cache_bytes = 64 << 10;
-  auto cached = ShardedQueryEngine::OpenMmap(paths, cached_options);
+  auto cached = QueryEngine::OpenMmap(paths, cached_options);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   ASSERT_NE(cached.value().cache(), nullptr);
   // The sharded fingerprint is tiling-invariant: it must equal the

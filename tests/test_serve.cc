@@ -1,6 +1,6 @@
-// Serving-layer tests: QueryEngine and ShardedQueryEngine correctness
-// against the raw index, and multi-threaded hammering of one engine from
-// many caller threads (the configuration the TSan CI job runs).
+// Serving-layer tests: QueryEngine correctness over whole indexes and
+// shard tilings against the raw index, and multi-threaded hammering of one
+// engine from many caller threads (the configuration the TSan CI job runs).
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "core/wc_index.h"
 #include "graph/generators.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -71,14 +70,17 @@ TEST(QueryEngine, SingleAndBatchMatchIndex) {
 
 TEST(QueryEngine, EveryImplAgrees) {
   ServeFixture f = MakeFixture(100, 260, 300, 23);
+  QueryEngineOptions options;
+  options.num_threads = 2;
+  QueryEngine engine(f.index, options);
+  const std::vector<Distance> served = engine.Batch(f.workload);
   for (QueryImpl impl : {QueryImpl::kScan, QueryImpl::kHubGrouped,
                          QueryImpl::kBinary, QueryImpl::kMerge}) {
-    QueryEngineOptions options;
-    options.num_threads = 2;
-    options.impl = impl;
-    QueryEngine engine(f.index, options);
-    EXPECT_EQ(engine.Batch(f.workload), f.expected)
-        << "impl=" << static_cast<int>(impl);
+    std::vector<Distance> expected;
+    for (const BatchQueryInput& q : f.workload) {
+      expected.push_back(f.index->Query(q.s, q.t, q.w, impl));
+    }
+    EXPECT_EQ(served, expected) << "impl=" << static_cast<int>(impl);
   }
 }
 
@@ -184,7 +186,7 @@ TEST(ShardedEngine, MatchesUnshardedAcrossShardCounts) {
     QueryEngineOptions options;
     options.num_threads = 2;
     options.min_chunk = 32;
-    auto engine = ShardedQueryEngine::OpenMmap(paths, options);
+    auto engine = QueryEngine::OpenMmap(paths, options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     EXPECT_EQ(engine.value().num_shards(), shards);
     EXPECT_EQ(engine.value().NumVertices(), f.index->NumVertices());
@@ -208,7 +210,7 @@ TEST(ShardedEngine, EmptyShardsAcceptedInAnyOrder) {
   std::vector<std::string> paths = WriteShards(index, 5, "tiny");
   std::vector<std::string> reversed(paths.rbegin(), paths.rend());
   for (const auto& order : {paths, reversed}) {
-    auto engine = ShardedQueryEngine::OpenMmap(order);
+    auto engine = QueryEngine::OpenMmap(order);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     EXPECT_EQ(engine.value().NumVertices(), 3u);
     for (Vertex s = 0; s < 3; ++s) {
@@ -226,12 +228,12 @@ TEST(ShardedEngine, RejectsIncompleteOrInconsistentShardSets) {
   std::vector<std::string> paths = WriteShards(*f.index, 3, "reject");
 
   // Missing middle shard: gap detected.
-  auto gap = ShardedQueryEngine::OpenMmap({paths[0], paths[2]});
+  auto gap = QueryEngine::OpenMmap({paths[0], paths[2]});
   EXPECT_FALSE(gap.ok());
   EXPECT_EQ(gap.status().code(), StatusCode::kInvalidArgument);
 
   // Duplicate shard: overlap detected.
-  auto dup = ShardedQueryEngine::OpenMmap(
+  auto dup = QueryEngine::OpenMmap(
       {paths[0], paths[1], paths[1], paths[2]});
   EXPECT_FALSE(dup.ok());
 
@@ -241,11 +243,11 @@ TEST(ShardedEngine, RejectsIncompleteOrInconsistentShardSets) {
   ASSERT_TRUE(WriteSnapshotShard(foreign, other.index->flat_labels(), 0, 60,
                                  60)
                   .ok());
-  auto mixed = ShardedQueryEngine::OpenMmap({paths[0], paths[1], foreign});
+  auto mixed = QueryEngine::OpenMmap({paths[0], paths[1], foreign});
   EXPECT_FALSE(mixed.ok());
 
   // No shards at all.
-  EXPECT_FALSE(ShardedQueryEngine::OpenMmap({}).ok());
+  EXPECT_FALSE(QueryEngine::OpenMmap({}).ok());
 
   for (const std::string& p : paths) std::remove(p.c_str());
   std::remove(foreign.c_str());
@@ -257,9 +259,9 @@ TEST(ShardedEngine, ConcurrentHammer) {
   QueryEngineOptions options;
   options.num_threads = 3;
   options.min_chunk = 16;
-  auto opened = ShardedQueryEngine::OpenMmap(paths, options);
+  auto opened = QueryEngine::OpenMmap(paths, options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const ShardedQueryEngine& engine = opened.value();
+  const QueryEngine& engine = opened.value();
 
   std::atomic<size_t> mismatches{0};
   std::vector<std::thread> callers;

@@ -7,7 +7,7 @@
 // hub-heavy inputs — the point of the planner).
 //
 // Manifest: round-trip encode/decode, the shard-set writer, and
-// ShardedQueryEngine::OpenManifest's validation ladder — every negative
+// QueryEngine::OpenManifest's validation ladder — every negative
 // (bad tiling, wrong fingerprint, missing file, swapped file, corrupt
 // payload, corrupt/truncated manifest) must fail with a clean Status that
 // names the offending shard, never crash. A golden manifest fixture in
@@ -31,7 +31,6 @@
 #include "labeling/snapshot.h"
 #include "paper_fixtures.h"
 #include "serve/query_engine.h"
-#include "serve/sharded_engine.h"
 #include "util/checksum.h"
 #include "util/random.h"
 
@@ -349,8 +348,8 @@ TEST(ShardManifestServe, OpenManifestAnswersLikeUnsharded) {
   verify.verify_level = SnapshotVerifyLevel::kDeep;
   QueryEngineOptions options;
   options.num_threads = 1;
-  auto engine = ShardedQueryEngine::OpenManifest(set.manifest_path, options,
-                                                 verify);
+  auto engine = QueryEngine::OpenManifest(set.manifest_path, options,
+                                          verify);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine.value().NumVertices(), index.NumVertices());
   EXPECT_EQ(engine.value().num_shards(), 2u);
@@ -379,7 +378,7 @@ TEST(ShardManifestServe, RejectsBadTilings) {
   ShardManifest bad = set.manifest;
   bad.shards[1].vertex_begin -= 1;
   ASSERT_TRUE(WriteShardManifest(set.manifest_path, bad).ok());
-  auto overlap = ShardedQueryEngine::OpenManifest(set.manifest_path);
+  auto overlap = QueryEngine::OpenManifest(set.manifest_path);
   ASSERT_FALSE(overlap.ok());
   EXPECT_NE(overlap.status().message().find("tile"), std::string::npos);
   EXPECT_NE(overlap.status().message().find(bad.shards[1].path),
@@ -389,13 +388,13 @@ TEST(ShardManifestServe, RejectsBadTilings) {
   bad = set.manifest;
   bad.shards[1].vertex_begin += 1;
   ASSERT_TRUE(WriteShardManifest(set.manifest_path, bad).ok());
-  EXPECT_FALSE(ShardedQueryEngine::OpenManifest(set.manifest_path).ok());
+  EXPECT_FALSE(QueryEngine::OpenManifest(set.manifest_path).ok());
 
   // Truncated coverage.
   bad = set.manifest;
   bad.num_vertices_total += 5;
   ASSERT_TRUE(WriteShardManifest(set.manifest_path, bad).ok());
-  auto uncovered = ShardedQueryEngine::OpenManifest(set.manifest_path);
+  auto uncovered = QueryEngine::OpenManifest(set.manifest_path);
   ASSERT_FALSE(uncovered.ok());
   EXPECT_NE(uncovered.status().message().find("cover"), std::string::npos);
   RemoveShardSet(set);
@@ -409,11 +408,11 @@ TEST(ShardManifestServe, RejectsWrongFingerprint) {
   ASSERT_TRUE(WriteShardManifest(set.manifest_path, bad).ok());
   // The fingerprint is only recomputed under verify_checksums (it must
   // read every payload page); the cheap path still opens.
-  EXPECT_TRUE(ShardedQueryEngine::OpenManifest(set.manifest_path).ok());
+  EXPECT_TRUE(QueryEngine::OpenManifest(set.manifest_path).ok());
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
   auto checked =
-      ShardedQueryEngine::OpenManifest(set.manifest_path, {}, verify);
+      QueryEngine::OpenManifest(set.manifest_path, {}, verify);
   ASSERT_FALSE(checked.ok());
   EXPECT_NE(checked.status().message().find("fingerprint"),
             std::string::npos);
@@ -424,7 +423,7 @@ TEST(ShardManifestServe, RejectsMissingShardFile) {
   WrittenShardSet set =
       WriteFigure3ShardSet(testing::TempDir() + "/fig3_missing");
   std::remove(set.shard_paths[1].c_str());
-  auto missing = ShardedQueryEngine::OpenManifest(set.manifest_path);
+  auto missing = QueryEngine::OpenManifest(set.manifest_path);
   ASSERT_FALSE(missing.ok());
   EXPECT_NE(missing.status().message().find("shard 1"), std::string::npos);
   EXPECT_NE(missing.status().message().find(set.shard_paths[1]),
@@ -450,7 +449,7 @@ TEST(ShardManifestServe, RejectsSwappedShardFile) {
                                  entry.vertex_begin, entry.vertex_end,
                                  set.manifest.num_vertices_total)
                   .ok());
-  auto swapped = ShardedQueryEngine::OpenManifest(set.manifest_path);
+  auto swapped = QueryEngine::OpenManifest(set.manifest_path);
   ASSERT_FALSE(swapped.ok());
   EXPECT_NE(swapped.status().message().find("shard 0"), std::string::npos);
   EXPECT_NE(swapped.status().message().find("not the file"),
@@ -469,7 +468,7 @@ TEST(ShardManifestServe, RejectsCorruptShardPayload) {
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
   auto corrupt =
-      ShardedQueryEngine::OpenManifest(set.manifest_path, {}, verify);
+      QueryEngine::OpenManifest(set.manifest_path, {}, verify);
   ASSERT_FALSE(corrupt.ok());
   EXPECT_NE(corrupt.status().message().find("shard 0"), std::string::npos);
   EXPECT_NE(corrupt.status().message().find("checksum"), std::string::npos);
@@ -537,7 +536,7 @@ TEST(ShardedOpenMmap, TilingErrorsNameTheShard) {
   // Gap: [0, 3) + [4, n).
   ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, 3, n).ok());
   ASSERT_TRUE(WriteSnapshotShard(b, flat, 4, n, n).ok());
-  auto gap = ShardedQueryEngine::OpenMmap({a, b});
+  auto gap = QueryEngine::OpenMmap({a, b});
   ASSERT_FALSE(gap.ok());
   EXPECT_NE(gap.status().message().find("gap at vertex 3"),
             std::string::npos)
@@ -548,7 +547,7 @@ TEST(ShardedOpenMmap, TilingErrorsNameTheShard) {
   // Overlap: [0, 5) + [3, n).
   ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, 5, n).ok());
   ASSERT_TRUE(WriteSnapshotShard(b, flat, 3, n, n).ok());
-  auto overlap = ShardedQueryEngine::OpenMmap({a, b});
+  auto overlap = QueryEngine::OpenMmap({a, b});
   ASSERT_FALSE(overlap.ok());
   EXPECT_NE(overlap.status().message().find("overlap at vertex 3"),
             std::string::npos)
@@ -557,7 +556,7 @@ TEST(ShardedOpenMmap, TilingErrorsNameTheShard) {
 
   // Missing tail: [0, 3) alone.
   ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, 3, n).ok());
-  auto uncovered = ShardedQueryEngine::OpenMmap({a});
+  auto uncovered = QueryEngine::OpenMmap({a});
   ASSERT_FALSE(uncovered.ok());
   EXPECT_NE(uncovered.status().message().find("cover"), std::string::npos);
   EXPECT_NE(uncovered.status().message().find(a), std::string::npos);
@@ -609,7 +608,7 @@ TEST(ShardGolden, GoldenSetLoadsAndAnswers) {
   verify.verify_level = SnapshotVerifyLevel::kDeep;
   QueryEngineOptions options;
   options.num_threads = 1;
-  auto engine = ShardedQueryEngine::OpenManifest(
+  auto engine = QueryEngine::OpenManifest(
       GoldenPath("fig3_golden.manifest"), options, verify);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   WcIndex index = BuildFigure3Index();

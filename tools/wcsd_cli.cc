@@ -6,12 +6,13 @@
 //             build and save a WC-INDEX; --threads=0 uses all cores via the
 //             rank-batched parallel pipeline (identical output), --batch
 //             overrides the auto batch schedule
-//   query     --index=<file> --s=<v> --t=<v> --w=<q> [--flat]
+//   query     --index=<file> --s=<v> --t=<v> --w=<q> [--cache-mb=M]
 //             [--path --graph=<file>]
 //             [--topk=K [--candidates=v1,v2,...]]
 //             [--profile --thresholds=w1,w2,...]
-//             answer one query (optionally with the route); --flat serves
-//             it from the finalized CSR label backend. --topk ranks the
+//             answer one query (or, with --path, its route) from a saved
+//             index, finalized and served through the query engine
+//             (--flat is accepted and ignored). --topk ranks the
 //             candidates (default: every vertex) by constrained distance
 //             from --s and keeps the K closest; --profile sweeps the
 //             (w, d) trade-off curve for (--s, --t) at the given
@@ -32,8 +33,9 @@
 //   query     --manifest=<file> --s=<v> --t=<v> --w=<q> [--cache-mb=M]
 //             [--topk=K [--candidates=...]]
 //             [--profile --thresholds=...] [--path --graph=<file>]
-//             answer one query from a mapped shard set (see `shard`);
-//             --cache-mb enables the dominance-aware result cache
+//             the same, from a mapped shard set (see `shard`); --path
+//             steps greedily through the graph (shards carry no parent
+//             quads); --cache-mb enables the dominance-aware result cache
 //   stats     --index=<file>                 label statistics
 //   verify    --graph=<file> --index=<file>  brute-force Theorem 1 checks
 //   generate  --out=<file> --kind=road|social [--n=...] [--levels=...]
@@ -72,7 +74,7 @@
 //   serve     --snapshot=<file>[,<file>,...] | --manifest=<file>
 //             [--graph=<file>]
 //             [--queries=N] [--threads=T] [--cache-mb=M]
-//             [--seed=S] [--levels=L] [--impl=merge|scan|grouped|binary]
+//             [--seed=S] [--levels=L]
 //             [--verify] [--verify-level=offsets|directory|deep]
 //             [--listen=PORT [--host=ADDR] [--max-seconds=S]
 //              [--reactors=R]]
@@ -81,9 +83,11 @@
 //             [--quarantine [--fallback-graph=<file>]]
 //             [--watch [--delta=<file>]]
 //             [--cold-tier] [--decode-cache-mb=M]
-//             mmap the snapshot(s) — several files are stitched as
-//             vertex-range shards, and --manifest opens a whole validated
-//             shard set in one step — and either drive a random local batch
+//             mmap the snapshot(s) — one full snapshot serves as a whole
+//             index, several files are stitched as vertex-range shards,
+//             and --manifest opens a whole validated shard set in one
+//             step; all serve through the one query engine — and either
+//             drive a random local batch
 //             workload (default) or, with --listen, serve the wire
 //             protocol (net/wire.h) on PORT until SIGINT (immediate stop),
 //             SIGTERM (graceful drain: finish in-flight work, then exit),
@@ -131,8 +135,8 @@
 //   wcsd_cli shard --index=g.wcx --out=g --shards=4
 //   wcsd_cli serve --manifest=g.manifest --listen=9000
 //   wcsd_cli delta --out=g.delta --base-snapshot=g.wcsnap --add=3,99,4
-//   wcsd_cli update --snapshot=g.wcsnap --graph=g.edges --delta=g.delta \
-//       --out=g.wcsnap --out-graph=g.edges
+//   wcsd_cli update --snapshot=g.wcsnap --graph=g.edges --delta=g.delta
+//       --out=g.wcsnap --out-graph=g.edges   (one command line)
 //   wcsd_cli serve --snapshot=g.wcsnap --listen=9000 --watch --cache-mb=64
 
 #include <sys/stat.h>
@@ -151,7 +155,6 @@
 
 #include "core/batch.h"
 #include "core/dynamic_wc_index.h"
-#include "core/path_index.h"
 #include "core/verifier.h"
 #include "core/wc_index.h"
 #include "graph/generators.h"
@@ -166,7 +169,6 @@
 #include "net/swap_service.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
 #include "util/checksum.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -485,13 +487,80 @@ bool ParseCacheBytes(const Flags& flags, size_t* bytes) {
   return true;
 }
 
-/// `query --manifest`: answer one query from a mapped shard set.
-int CmdManifestQuery(const Flags& flags, const std::string& manifest) {
+/// `query --index` / `query --manifest`: answers one query of any family
+/// from a local engine. `source` names the served file in the output.
+int AnswerLocal(const QueryEngine& engine, const Flags& flags,
+                const std::string& source) {
+  Vertex s = static_cast<Vertex>(flags.GetInt("s", 0));
+  Vertex t = static_cast<Vertex>(flags.GetInt("t", 0));
+  Quality w = static_cast<Quality>(flags.GetDouble("w", 1.0));
+  if (s >= engine.NumVertices() || t >= engine.NumVertices()) {
+    std::fprintf(stderr, "error: vertex out of range (n=%zu)\n",
+                 engine.NumVertices());
+    return 1;
+  }
+  auto refused = [](ServeOutcome outcome) {
+    std::fprintf(stderr, "error: %s\n",
+                 outcome == ServeOutcome::kNotSupported
+                     ? "path needs --graph"
+                     : "shard unavailable");
+    return 1;
+  };
+  int64_t topk = flags.GetInt("topk", 0);
+  if (topk > 0) {
+    std::vector<Vertex> candidates;
+    if (!ResolveCandidates(flags, s, engine.NumVertices(), &candidates)) {
+      return 1;
+    }
+    std::vector<RankedCandidate> ranked;
+    Timer timer;
+    ServeOutcome outcome = engine.TopKEx(s, candidates, w,
+                                         static_cast<size_t>(topk), &ranked);
+    if (outcome != ServeOutcome::kOk) return refused(outcome);
+    PrintTopK(s, w, static_cast<size_t>(topk), ranked, timer.Micros(),
+              source);
+    return 0;
+  }
+  if (flags.GetBool("profile", false)) {
+    std::vector<Quality> thresholds;
+    if (!ResolveThresholds(flags, &thresholds)) return 1;
+    std::vector<ProfilePoint> profile;
+    Timer timer;
+    ServeOutcome outcome = engine.ProfileEx(s, t, thresholds, &profile);
+    if (outcome != ServeOutcome::kOk) return refused(outcome);
+    PrintProfile(s, t, profile, timer.Micros(), source);
+    return 0;
+  }
+  if (flags.GetBool("path", false)) {
+    std::vector<Vertex> path;
+    Timer timer;
+    ServeOutcome outcome = engine.PathEx(s, t, w, &path);
+    if (outcome != ServeOutcome::kOk) return refused(outcome);
+    PrintPath(s, t, w, path, timer.Micros(), source);
+    return 0;
+  }
+  Distance d = kInfDistance;
+  Timer timer;
+  ServeOutcome outcome = engine.QueryEx(s, t, w, &d);
+  double micros = timer.Micros();
+  if (outcome != ServeOutcome::kOk) return refused(outcome);
+  if (d == kInfDistance) {
+    std::printf("dist(%u, %u | w >= %g) = INF   (%.1f us via %s)\n", s, t,
+                w, micros, source.c_str());
+  } else {
+    std::printf("dist(%u, %u | w >= %g) = %u   (%.1f us via %s)\n", s, t, w,
+                d, micros, source.c_str());
+  }
+  return 0;
+}
+
+int CmdQuery(const Flags& flags) {
+  std::string connect = flags.GetString("connect", "");
+  if (!connect.empty()) return CmdRemoteQuery(flags, connect);
   QueryEngineOptions options;
   options.num_threads = 1;
   if (!ParseCacheBytes(flags, &options.cache_bytes)) return 1;
-  // --path over a shard set steps greedily through the graph, so the graph
-  // is required (shard mappings carry labels only, never parent quads).
+  // Path reconstruction walks the graph's edges, even over parent quads.
   if (flags.GetBool("path", false)) {
     auto graph = LoadGraph(flags);
     if (!graph.ok()) {
@@ -502,151 +571,25 @@ int CmdManifestQuery(const Flags& flags, const std::string& manifest) {
     options.graph =
         std::make_shared<const QualityGraph>(std::move(graph).value());
   }
-  auto engine = ShardedQueryEngine::OpenManifest(manifest, options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-  Vertex s = static_cast<Vertex>(flags.GetInt("s", 0));
-  Vertex t = static_cast<Vertex>(flags.GetInt("t", 0));
-  Quality w = static_cast<Quality>(flags.GetDouble("w", 1.0));
-  if (s >= engine.value().NumVertices() ||
-      t >= engine.value().NumVertices()) {
-    std::fprintf(stderr, "error: vertex out of range (n=%zu)\n",
-                 engine.value().NumVertices());
-    return 1;
-  }
-  int64_t topk = flags.GetInt("topk", 0);
-  if (topk > 0) {
-    std::vector<Vertex> candidates;
-    if (!ResolveCandidates(flags, s, engine.value().NumVertices(),
-                           &candidates)) {
-      return 1;
-    }
-    std::vector<RankedCandidate> ranked;
-    Timer timer;
-    ServeOutcome outcome = engine.value().TopKEx(
-        s, candidates, w, static_cast<size_t>(topk), &ranked);
-    if (outcome != ServeOutcome::kOk) {
-      std::fprintf(stderr, "error: %s\n",
-                   outcome == ServeOutcome::kNotSupported
-                       ? "not supported by this shard set"
-                       : "shard unavailable");
-      return 1;
-    }
-    PrintTopK(s, w, static_cast<size_t>(topk), ranked, timer.Micros(),
-              manifest);
-    return 0;
-  }
-  if (flags.GetBool("profile", false)) {
-    std::vector<Quality> thresholds;
-    if (!ResolveThresholds(flags, &thresholds)) return 1;
-    std::vector<ProfilePoint> profile;
-    Timer timer;
-    ServeOutcome outcome = engine.value().ProfileEx(s, t, thresholds,
-                                                    &profile);
-    if (outcome != ServeOutcome::kOk) {
-      std::fprintf(stderr, "error: shard unavailable\n");
-      return 1;
-    }
-    PrintProfile(s, t, profile, timer.Micros(), manifest);
-    return 0;
-  }
-  if (flags.GetBool("path", false)) {
-    std::vector<Vertex> path;
-    Timer timer;
-    ServeOutcome outcome = engine.value().PathEx(s, t, w, &path);
-    if (outcome != ServeOutcome::kOk) {
-      std::fprintf(stderr, "error: %s\n",
-                   outcome == ServeOutcome::kNotSupported
-                       ? "path needs --graph"
-                       : "shard unavailable");
-      return 1;
-    }
-    PrintPath(s, t, w, path, timer.Micros(), manifest);
-    return 0;
-  }
-  Timer timer;
-  Distance d = engine.value().Query(s, t, w);
-  double micros = timer.Micros();
-  if (d == kInfDistance) {
-    std::printf("dist(%u, %u | w >= %g) = INF   (%.1f us, %zu shards)\n", s,
-                t, w, micros, engine.value().num_shards());
-  } else {
-    std::printf("dist(%u, %u | w >= %g) = %u   (%.1f us, %zu shards)\n", s,
-                t, w, d, micros, engine.value().num_shards());
-  }
-  return 0;
-}
-
-int CmdQuery(const Flags& flags) {
-  std::string connect = flags.GetString("connect", "");
-  if (!connect.empty()) return CmdRemoteQuery(flags, connect);
   std::string manifest = flags.GetString("manifest", "");
-  if (!manifest.empty()) return CmdManifestQuery(flags, manifest);
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
+  if (!manifest.empty()) {
+    auto engine = QueryEngine::OpenManifest(manifest, options);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
+      return 1;
+    }
+    return AnswerLocal(engine.value(), flags, manifest);
+  }
+  std::string path = flags.GetString("index", "");
+  auto loaded = WcIndex::Load(path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  WcIndex& index = loaded.value();
-  if (flags.GetBool("flat", false)) index.Finalize();
-  Vertex s = static_cast<Vertex>(flags.GetInt("s", 0));
-  Vertex t = static_cast<Vertex>(flags.GetInt("t", 0));
-  Quality w = static_cast<Quality>(flags.GetDouble("w", 1.0));
-  if (s >= index.NumVertices() || t >= index.NumVertices()) {
-    std::fprintf(stderr, "error: vertex out of range (n=%zu)\n",
-                 index.NumVertices());
-    return 1;
-  }
-  int64_t topk = flags.GetInt("topk", 0);
-  if (topk > 0) {
-    std::vector<Vertex> candidates;
-    if (!ResolveCandidates(flags, s, index.NumVertices(), &candidates)) {
-      return 1;
-    }
-    Timer timer;
-    std::vector<RankedCandidate> ranked =
-        TopKClosest(index, s, candidates, w, static_cast<size_t>(topk));
-    PrintTopK(s, w, static_cast<size_t>(topk), ranked, timer.Micros(), "");
-    return 0;
-  }
-  if (flags.GetBool("profile", false)) {
-    std::vector<Quality> thresholds;
-    if (!ResolveThresholds(flags, &thresholds)) return 1;
-    size_t merges = 0;
-    Timer timer;
-    std::vector<ProfilePoint> profile =
-        QualityProfile(index, s, t, thresholds, &merges);
-    PrintProfile(s, t, profile, timer.Micros(), "");
-    std::printf("  (%zu label merge%s for %zu thresholds)\n", merges,
-                merges == 1 ? "" : "s", thresholds.size());
-    return 0;
-  }
-  Timer timer;
-  Distance d = index.Query(s, t, w);
-  double micros = timer.Micros();
-  if (d == kInfDistance) {
-    std::printf("dist(%u, %u | w >= %g) = INF   (%.1f us)\n", s, t, w,
-                micros);
-    return 0;
-  }
-  std::printf("dist(%u, %u | w >= %g) = %u   (%.1f us)\n", s, t, w, d,
-              micros);
-  if (flags.GetBool("path", false)) {
-    auto graph = LoadGraph(flags);
-    if (!graph.ok()) {
-      std::fprintf(stderr, "error (need --graph for --path): %s\n",
-                   graph.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("path:");
-    for (Vertex v : QueryConstrainedPath(index, graph.value(), s, t, w)) {
-      std::printf(" %u", v);
-    }
-    std::printf("\n");
-  }
-  return 0;
+  loaded.value().Finalize();
+  QueryEngine engine(
+      std::make_shared<const WcIndex>(std::move(loaded).value()), options);
+  return AnswerLocal(engine, flags, path);
 }
 
 int CmdStats(const Flags& flags) {
@@ -1181,62 +1124,26 @@ int RunWireServer(std::shared_ptr<const QueryService> service,
   return 0;
 }
 
-/// One opened serving generation: the service plus what the serve loop
-/// needs to describe and (under --watch) invalidate-and-swap it.
-struct OpenedService {
-  std::shared_ptr<const QueryService> service;
-  size_t n = 0;
-  size_t served_threads = 1;
-  size_t mapped_files = 0;
-  size_t quarantined = 0;
-  /// True when the opened engine serves the compressed label backend.
-  bool compressed = false;
-  /// Index content fingerprint when caching, 0 otherwise.
-  uint64_t cache_fingerprint = 0;
-  /// Set for single-snapshot engines only: the reachability-coupled cache
-  /// invalidation probes the OLD generation's index through this.
-  std::shared_ptr<const QueryEngine> engine;
-};
-
 /// Opens the serving engine for `serve` (and re-opens it on --watch
-/// reloads): one full snapshot through QueryEngine, anything else through
-/// the sharded engine.
-Result<OpenedService> OpenServeService(const std::vector<std::string>& paths,
-                                       const std::string& manifest,
-                                       bool single_full,
-                                       const QueryEngineOptions& options,
-                                       const SnapshotLoadOptions& load,
-                                       const DegradedOpenOptions& degraded) {
-  OpenedService opened;
-  opened.mapped_files = paths.size();
-  if (single_full) {
-    auto engine = QueryEngine::Open(paths[0], options, load);
-    if (!engine.ok()) return engine.status();
-    auto shared =
-        std::make_shared<const QueryEngine>(std::move(engine).value());
-    opened.n = shared->index().NumVertices();
-    opened.served_threads = shared->num_threads();
-    opened.compressed = shared->index().compressed();
-    opened.cache_fingerprint = shared->cache_fingerprint();
-    opened.engine = shared;
-    opened.service = MakeQueryService(std::move(shared));
-  } else {
-    auto engine = manifest.empty()
-                      ? ShardedQueryEngine::OpenMmap(paths, options, load)
-                      : ShardedQueryEngine::OpenManifest(manifest, options,
-                                                         load, degraded);
-    if (!engine.ok()) return engine.status();
-    auto shared = std::make_shared<const ShardedQueryEngine>(
-        std::move(engine).value());
-    opened.n = shared->NumVertices();
-    opened.served_threads = shared->num_threads();
-    opened.mapped_files = shared->num_shards();
-    opened.quarantined = shared->num_quarantined();
-    opened.compressed = shared->compressed();
-    opened.cache_fingerprint = shared->cache_fingerprint();
-    opened.service = MakeQueryService(std::move(shared));
+/// reloads). The input picks the open: a manifest opens its shard set, one
+/// full snapshot with an order section opens as a WcIndex (keeping the §V
+/// parent-quad path unwind and the index the --watch coupling test
+/// probes), and anything else is stitched as vertex-range shard files.
+Result<QueryEngine> OpenServeEngine(const std::vector<std::string>& paths,
+                                    const std::string& manifest,
+                                    const QueryEngineOptions& options,
+                                    const SnapshotLoadOptions& load,
+                                    const DegradedOpenOptions& degraded) {
+  if (!manifest.empty()) {
+    return QueryEngine::OpenManifest(manifest, options, load, degraded);
   }
-  return opened;
+  auto info = ReadSnapshotInfo(paths[0]);
+  if (!info.ok()) return info.status();
+  if (paths.size() == 1 && info.value().IsFullRange() &&
+      info.value().has_order) {
+    return QueryEngine::Open(paths[0], options, load);
+  }
+  return QueryEngine::OpenMmap(paths, options, load);
 }
 
 int CmdServe(const Flags& flags) {
@@ -1295,19 +1202,6 @@ int CmdServe(const Flags& flags) {
     options.graph =
         std::make_shared<const QualityGraph>(std::move(graph).value());
   }
-  std::string impl = flags.GetString("impl", "merge");
-  if (impl == "merge") {
-    options.impl = QueryImpl::kMerge;
-  } else if (impl == "scan") {
-    options.impl = QueryImpl::kScan;
-  } else if (impl == "grouped") {
-    options.impl = QueryImpl::kHubGrouped;
-  } else if (impl == "binary") {
-    options.impl = QueryImpl::kBinary;
-  } else {
-    std::fprintf(stderr, "error: unknown --impl: %s\n", impl.c_str());
-    return 1;
-  }
   int64_t queries_flag = flags.GetInt("queries", 100000);
   int64_t levels = flags.GetInt("levels", 5);
   if (queries_flag < 0 || levels < 1) {
@@ -1326,21 +1220,6 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "error: unknown --verify-level: %s\n",
                  verify_level.c_str());
     return 1;
-  }
-
-  // One full snapshot serves through QueryEngine; anything else (shard
-  // files, label-only snapshots, manifests) goes through the sharded
-  // engine. All are served through the QueryService surface the network
-  // front end uses.
-  bool single_full = false;
-  if (manifest.empty()) {
-    auto info = ReadSnapshotInfo(paths[0]);
-    if (!info.ok()) {
-      std::fprintf(stderr, "error: %s\n", info.status().ToString().c_str());
-      return 1;
-    }
-    single_full = paths.size() == 1 && info.value().IsFullRange() &&
-                  info.value().has_order;
   }
 
   DegradedOpenOptions degraded;
@@ -1382,37 +1261,41 @@ int CmdServe(const Flags& flags) {
   }
 
   Timer load_timer;
-  auto opened =
-      OpenServeService(paths, manifest, single_full, options, load, degraded);
+  auto opened = OpenServeEngine(paths, manifest, options, load, degraded);
   if (!opened.ok()) {
     std::fprintf(stderr, "error: %s\n", opened.status().ToString().c_str());
     return 1;
   }
-  OpenedService current = std::move(opened).value();
+  // The generation being served; --watch reloads replace it.
+  auto current = std::make_shared<const QueryEngine>(std::move(opened).value());
   double load_seconds = load_timer.Seconds();
-  if (current.n == 0) {
+  const size_t n = current->NumVertices();
+  const size_t served_threads = current->num_threads();
+  const size_t mapped_files = current->num_shards();
+  const bool compressed = current->compressed();
+  if (n == 0) {
     std::fprintf(stderr, "error: empty snapshot\n");
     return 1;
   }
   std::printf("mapped %zu snapshot%s (%zu vertices) in %.3f ms\n",
-              current.mapped_files, current.mapped_files == 1 ? "" : "s",
-              current.n, load_seconds * 1e3);
-  if (cold_tier && !current.compressed) {
+              mapped_files, mapped_files == 1 ? "" : "s", n,
+              load_seconds * 1e3);
+  if (cold_tier && !compressed) {
     std::fprintf(stderr,
                  "error: --cold-tier wants a compressed snapshot (write one "
                  "with `snapshot --compress`)\n");
     return 1;
   }
-  if (current.compressed) {
+  if (compressed) {
     std::printf("compressed labels%s, decode cache %lld MiB\n",
                 cold_tier ? " (cold tier: blob stays on disk)" : "",
                 static_cast<long long>(decode_mb));
   }
-  if (current.quarantined > 0) {
+  if (current->degraded()) {
     std::printf(
         "DEGRADED: %zu of %zu shards quarantined — queries touching their "
         "ranges are %s\n",
-        current.quarantined, current.mapped_files,
+        current->num_quarantined(), mapped_files,
         degraded.fallback_graph != nullptr
             ? "answered online via the fallback graph"
             : "refused with kShardUnavailable");
@@ -1420,13 +1303,13 @@ int CmdServe(const Flags& flags) {
 
   if (flags.Has("listen")) {
     if (!watch) {
-      return RunWireServer(std::move(current.service), flags, current.n,
-                           current.served_threads);
+      return RunWireServer(MakeQueryService(current), flags, n,
+                           served_threads);
     }
     // No explicit Rebind here: the engine already bound the shared cache
     // to its fingerprint at open (the unconditional-Rebind contract).
     auto swappable =
-        std::make_shared<SwappableQueryService>(current.service);
+        std::make_shared<SwappableQueryService>(MakeQueryService(current));
     const std::string watch_path = manifest.empty() ? paths[0] : manifest;
     const std::string delta_path = flags.GetString("delta", "");
     int64_t last_mtime = FileMtimeNs(watch_path);
@@ -1447,22 +1330,23 @@ int CmdServe(const Flags& flags) {
           // Scoped invalidation needs a delta log authored against exactly
           // the outgoing snapshot.
           if (delta_path.empty() ||
-              next_fingerprint == current.cache_fingerprint) {
+              next_fingerprint == current->cache_fingerprint()) {
             return;
           }
           auto log = ReadDeltaLog(delta_path);
           if (!log.ok() || log.value().base_fingerprint == 0 ||
-              log.value().base_fingerprint != current.cache_fingerprint) {
+              log.value().base_fingerprint !=
+                  current->cache_fingerprint()) {
             return;
           }
           std::vector<DeltaImpact> impacts = DeltaImpacts(log.value());
           ResultCache::CoupledFn coupled;
-          if (current.engine != nullptr) {
+          if (current->has_index()) {
             // Pair (s, t) can only be affected if it reaches the changed
             // edge from both sides in the OLD index at the lowest
             // affected constraint (probed uncached: this runs under the
             // cache's shard mutexes).
-            auto old_engine = current.engine;
+            auto old_engine = current;
             coupled = [old_engine](Vertex s, Vertex t,
                                    const DeltaImpact& impact,
                                    Quality w_test) {
@@ -1480,8 +1364,8 @@ int CmdServe(const Flags& flags) {
                       dropped, dropped == 1 ? "" : "s");
         };
       }
-      auto reopened = OpenServeService(paths, manifest, single_full,
-                                       next_options, load, degraded);
+      auto reopened =
+          OpenServeEngine(paths, manifest, next_options, load, degraded);
       if (!reopened.ok()) {
         // Keep serving the old generation; the operator sees why.
         std::fprintf(stderr, "reload failed (still serving generation %llu): %s\n",
@@ -1489,11 +1373,11 @@ int CmdServe(const Flags& flags) {
                      reopened.status().ToString().c_str());
         return;
       }
-      OpenedService next = std::move(reopened).value();
-      uint64_t generation = swappable->Swap(next.service);
-      current = std::move(next);
+      current =
+          std::make_shared<const QueryEngine>(std::move(reopened).value());
+      uint64_t generation = swappable->Swap(MakeQueryService(current));
       std::printf("reloaded %s: %zu vertices, now serving generation %llu\n",
-                  watch_path.c_str(), current.n,
+                  watch_path.c_str(), current->NumVertices(),
                   static_cast<unsigned long long>(generation));
       std::fflush(stdout);
     };
@@ -1511,7 +1395,7 @@ int CmdServe(const Flags& flags) {
       if (want) reload();
     };
     std::signal(SIGHUP, HandleReloadSignal);
-    return RunWireServer(swappable, flags, current.n, current.served_threads,
+    return RunWireServer(swappable, flags, n, served_threads,
                          on_tick);
   }
 
@@ -1521,13 +1405,13 @@ int CmdServe(const Flags& flags) {
   std::vector<BatchQueryInput> workload;
   workload.reserve(queries);
   for (size_t i = 0; i < queries; ++i) {
-    workload.push_back({static_cast<Vertex>(rng.NextBounded(current.n)),
-                        static_cast<Vertex>(rng.NextBounded(current.n)),
+    workload.push_back({static_cast<Vertex>(rng.NextBounded(n)),
+                        static_cast<Vertex>(rng.NextBounded(n)),
                         static_cast<Quality>(rng.NextInRange(1, levels))});
   }
   Timer batch_timer;
   size_t reachable = 0;
-  std::vector<Distance> answers = current.service->Batch(workload);
+  std::vector<Distance> answers = current->Batch(workload);
   double serve_seconds = batch_timer.Seconds();
   for (Distance d : answers) {
     if (d != kInfDistance) ++reachable;
@@ -1540,14 +1424,13 @@ int CmdServe(const Flags& flags) {
   std::printf(
       "served %zu queries on %zu thread%s in %.3f s (%.0f q/s), "
       "%zu reachable, answers crc32c=%08x\n",
-      workload.size(), current.served_threads,
-      current.served_threads == 1 ? "" : "s",
+      workload.size(), served_threads, served_threads == 1 ? "" : "s",
       serve_seconds,
       serve_seconds > 0 ? static_cast<double>(workload.size()) / serve_seconds
                         : 0.0,
       reachable, answers_crc);
   if (options.cache_bytes > 0) {
-    QueryEngineStats stats = current.service->Stats();
+    QueryEngineStats stats = current->stats();
     uint64_t lookups = stats.cache_hits + stats.cache_misses;
     std::printf(
         "cache: %llu hits / %llu lookups (%.1f%%), %llu inserts, "
@@ -1560,8 +1443,8 @@ int CmdServe(const Flags& flags) {
         static_cast<unsigned long long>(stats.cache_inserts),
         static_cast<unsigned long long>(stats.cache_evictions));
   }
-  if (options.decode_cache_bytes > 0 && current.compressed) {
-    QueryEngineStats stats = current.service->Stats();
+  if (options.decode_cache_bytes > 0 && compressed) {
+    QueryEngineStats stats = current->stats();
     uint64_t decodes = stats.decode_hits + stats.decode_misses;
     std::printf(
         "decode cache: %llu hits / %llu lookups (%.1f%%), %llu cold "
