@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "labeling/shard_manifest.h"
 #include "order/hybrid_order.h"
 #include "order/tree_decomposition.h"
 #include "util/endian.h"
@@ -369,44 +368,36 @@ WcIndex WcIndex::BuildWithOrder(const QualityGraph& g, VertexOrder order,
 
 void WcIndex::Finalize() {
   if (finalized_) return;
-  flat_ = FlatLabelSet::FromLabelSet(labels_);
+  source_ = LabelSource(FlatLabelSet::FromLabelSet(labels_));
   finalized_ = true;
 }
 
-FlatLabelView WcIndex::DecodedView(Vertex v) const {
-  // Two rotating scratch slots per thread: a kernel holding the views of
-  // both endpoints never sees its first decode clobbered by the second.
+DecodedLabel* WcIndex::NextScratch() {
+  // Two rotating slots per thread: a kernel holding the views of both
+  // endpoints never sees its first decode clobbered by the second.
   thread_local DecodedLabel scratch[2];
   thread_local unsigned next = 0;
-  DecodedLabel* slot = &scratch[next++ & 1];
-  if (!compressed_.DecodeVertex(v, slot).ok()) slot->Clear();
-  return slot->View();
+  return &scratch[next++ & 1];
 }
 
 Distance WcIndex::Query(Vertex s, Vertex t, Quality w) const {
   if (s >= NumVertices() || t >= NumVertices()) return kInfDistance;
   if (s == t) return 0;
-  if (compressed_backend_) {
-    return QueryCompressedMerge(compressed_, s, compressed_, t, w);
+  if (finalized_) {
+    return QueryMerge(source_, s, source_, t, w, NextScratch(), NextScratch());
   }
-  if (finalized_) return QueryFlatMerge(flat_.View(s), flat_.View(t), w);
   return QueryLabelsMerge(labels_.For(s), labels_.For(t), w);
 }
 
 Distance WcIndex::Query(Vertex s, Vertex t, Quality w, QueryImpl impl) const {
   if (s >= NumVertices() || t >= NumVertices()) return kInfDistance;
   if (s == t) return 0;
-  if (compressed_backend_) {
-    // kMerge streams the varint blobs directly; the other impls (ablation
-    // paths) run the flat kernels over per-vertex decodes — bit-identical
-    // either way.
-    if (impl == QueryImpl::kMerge) {
-      return QueryCompressedMerge(compressed_, s, compressed_, t, w);
-    }
-    return QueryFlat(DecodedView(s), DecodedView(t), w, impl);
-  }
-  if (finalized_) return QueryFlat(flat_.View(s), flat_.View(t), w, impl);
-  return QueryLabels(labels_.For(s), labels_.For(t), w, impl);
+  if (!finalized_) return QueryLabels(labels_.For(s), labels_.For(t), w, impl);
+  // kMerge goes through the source's merge (which streams two compressed
+  // labels); the ablation impls run the flat kernels over the views —
+  // bit-identical either way.
+  if (impl == QueryImpl::kMerge) return Query(s, t, w);
+  return QueryFlat(ViewOf(s), ViewOf(t), w, impl);
 }
 
 IntervalQueryResult WcIndex::QueryWithInterval(Vertex s, Vertex t,
@@ -417,12 +408,7 @@ IntervalQueryResult WcIndex::QueryWithInterval(Vertex s, Vertex t,
     r.dist = 0;
     return r;  // 0 under every constraint
   }
-  if (compressed_backend_) {
-    return QueryFlatMergeWithInterval(DecodedView(s), DecodedView(t), w);
-  }
-  if (finalized_) {
-    return QueryFlatMergeWithInterval(flat_.View(s), flat_.View(t), w);
-  }
+  if (finalized_) return QueryFlatMergeWithInterval(ViewOf(s), ViewOf(t), w);
   return QueryLabelsMergeWithInterval(labels_.For(s), labels_.For(t), w);
 }
 
@@ -436,16 +422,8 @@ HubQueryResult WcIndex::QueryWithHub(Vertex s, Vertex t, Quality w) const {
     r.dist_to_t = 0;
     return r;
   }
-  if (compressed_backend_) {
-    return QueryFlatMergeWithHub(DecodedView(s), DecodedView(t), w);
-  }
-  if (finalized_) return QueryFlatMergeWithHub(flat_.View(s), flat_.View(t), w);
+  if (finalized_) return QueryFlatMergeWithHub(ViewOf(s), ViewOf(t), w);
   return QueryLabelsMergeWithHub(labels_.For(s), labels_.For(t), w);
-}
-
-uint64_t WcIndex::ContentFingerprint() const {
-  if (compressed_backend_) return compressed_.ContentFingerprint();
-  return IndexContentFingerprint(flat_);
 }
 
 namespace {
@@ -464,17 +442,13 @@ Status WcIndex::Save(const std::string& path) const {
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   out.write(reinterpret_cast<const char*>(&kIndexMagic), sizeof(kIndexMagic));
   uint64_t n = NumVertices();
-  // An mmap-loaded index has no append-oriented labels; serialize from
-  // whichever backend queries route through (EntriesFor decodes the
-  // compressed backend per vertex) instead of silently writing an empty
-  // index.
-  const bool from_serving = labels_.NumVertices() != n;
   out.write(reinterpret_cast<const char*>(&n), sizeof(n));
   out.write(reinterpret_cast<const char*>(order_.by_rank().data()),
             static_cast<std::streamsize>(n * sizeof(Vertex)));
   for (uint64_t v = 0; v < n; ++v) {
-    auto lv = from_serving ? EntriesFor(static_cast<Vertex>(v))
-                           : labels_.For(static_cast<Vertex>(v));
+    // EntriesFor, not labels_: an mmap-loaded index has no append-oriented
+    // labels, and a compressed source decodes per vertex.
+    auto lv = EntriesFor(static_cast<Vertex>(v));
     uint64_t count = lv.size();
     out.write(reinterpret_cast<const char*>(&count), sizeof(count));
     out.write(reinterpret_cast<const char*>(lv.data()),
@@ -549,35 +523,30 @@ Status WcIndex::SaveSnapshot(const std::string& path,
     return Status::InvalidArgument(
         "SaveSnapshot requires a finalized index (call Finalize first)");
   }
-  if (compressed_backend_) {
-    // Re-materialize the flat arrays, the snapshot writer's input form.
-    // This is the migration path both ways: --compress re-encodes (fresh
-    // dictionary), without it the snapshot comes out uncompressed.
-    Result<FlatLabelSet> flat = compressed_.Decompress();
-    if (!flat.ok()) return flat.status();
-    return WriteSnapshot(path, flat.value(), &order_, /*parents=*/{},
-                         write_options);
-  }
+  // The snapshot writer's input form. This is the migration path both
+  // ways: --compress re-encodes (fresh dictionary), without it the
+  // snapshot comes out uncompressed.
+  Result<FlatLabelSet> flat = source_.Materialize();
+  if (!flat.ok()) return flat.status();
   if (!parents_.empty()) {
     // Flatten the per-vertex parent vectors in vertex order — the same
     // order Finalize packs entries — so parents align index-for-index with
     // the flat entry array the snapshot carries.
     std::vector<Vertex> flat_parents;
-    flat_parents.reserve(flat_.TotalEntries());
+    flat_parents.reserve(flat.value().TotalEntries());
     for (const std::vector<Vertex>& pv : parents_) {
       flat_parents.insert(flat_parents.end(), pv.begin(), pv.end());
     }
-    if (flat_parents.size() != flat_.raw_entries().size()) {
+    if (flat_parents.size() != flat.value().TotalEntries()) {
       return Status::InvalidArgument(
           "parent quads out of sync with the flat labels; refusing to "
           "snapshot misaligned parents");
     }
-    return WriteSnapshot(path, flat_, &order_, flat_parents, write_options);
+    return WriteSnapshot(path, flat.value(), &order_, flat_parents,
+                         write_options);
   }
-  if (!flat_parents_.empty()) {
-    return WriteSnapshot(path, flat_, &order_, flat_parents_, write_options);
-  }
-  return WriteSnapshot(path, flat_, &order_, /*parents=*/{}, write_options);
+  return WriteSnapshot(path, flat.value(), &order_, flat_parents_,
+                       write_options);
 }
 
 Result<WcIndex> WcIndex::LoadMmap(const std::string& path,
@@ -594,13 +563,8 @@ Result<WcIndex> WcIndex::LoadMmap(const std::string& path,
   if (!index.order_.IsValid()) {
     return Status::Corruption("order is not a permutation in " + path);
   }
-  if (mapped.info.compressed) {
-    index.compressed_ = std::move(mapped.compressed);
-    index.compressed_backend_ = true;
-  } else {
-    index.flat_ = std::move(mapped.labels);
-    index.flat_parents_ = mapped.parents;  // kept alive by flat_'s mapping
-  }
+  index.source_ = std::move(mapped.labels);
+  index.flat_parents_ = mapped.parents;  // kept alive by source_'s mapping
   index.finalized_ = true;
   return index;
 }

@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "labeling/compressed_flat.h"
 #include "labeling/flat_label_set.h"
 #include "labeling/label_set.h"
+#include "labeling/label_source.h"
 #include "labeling/snapshot.h"
 #include "labeling/query.h"
 #include "order/vertex_order.h"
@@ -147,43 +147,32 @@ class WcIndex {
   const VertexOrder& order() const { return order_; }
   const WcIndexBuildStats& build_stats() const { return stats_; }
 
-  /// Packs the labels into the flat CSR backend and routes all subsequent
+  /// Packs the labels into a flat label source and routes all subsequent
   /// queries through it. Idempotent; the append-oriented labels() remain
   /// available (the dynamic-update subsystem needs them mutable).
   void Finalize();
 
-  /// True once Finalize() has run.
+  /// True once Finalize() has run (or the index was mmap-loaded).
   bool finalized() const { return finalized_; }
 
-  /// The flat backend; only meaningful when finalized() and not
-  /// compressed() (a compressed-snapshot load leaves it empty).
-  const FlatLabelSet& flat_labels() const { return flat_; }
+  /// The label source queries route through once finalized: flat after
+  /// Finalize, whatever the snapshot carries after LoadMmap.
+  const LabelSource& label_source() const { return source_; }
 
-  /// True when queries route through the compressed backend — the index
-  /// was mmap-loaded from a v3 compressed snapshot. The flat backend is
-  /// empty; labels decode per vertex on demand.
-  bool compressed() const { return compressed_backend_; }
+  /// The source's flat set; empty unless finalized() over flat labels.
+  const FlatLabelSet& flat_labels() const { return source_.flat(); }
 
-  /// The compressed backend; only meaningful when compressed().
-  const CompressedFlatLabelSet& compressed_labels() const {
-    return compressed_;
-  }
+  /// IndexContentFingerprint of the served labels, however they are
+  /// stored. Requires finalized().
+  uint64_t ContentFingerprint() const { return source_.ContentFingerprint(); }
 
-  /// Content fingerprint of the served labels, identical across storage
-  /// backends (IndexContentFingerprint of the flat arrays; the compressed
-  /// backend reproduces it through a decode pass). Requires finalized().
-  uint64_t ContentFingerprint() const;
-
-  /// Entries of L(v) from whichever backend queries route through — the
-  /// flat CSR once finalized (mmap-loaded indexes have empty
-  /// append-oriented labels), the heap vectors before that. On the
-  /// compressed backend the label is decoded into thread-local scratch:
-  /// the span stays valid until the SAME thread's second-next EntriesFor
-  /// call (two scratch slots rotate, so holding s's and t's entries at
-  /// once — the query-kernel shape — is safe).
+  /// Entries of L(v): the heap vectors before Finalize, the label source
+  /// after (mmap-loaded indexes have empty append-oriented labels). A
+  /// compressed source decodes into thread-local scratch, valid until the
+  /// SAME thread's second-next call (two slots rotate, so holding s's and
+  /// t's entries at once — the query-kernel shape — is safe).
   std::span<const LabelEntry> EntriesFor(Vertex v) const {
-    if (compressed_backend_) return DecodedView(v).entries;
-    return finalized_ ? flat_.For(v) : labels_.For(v);
+    return finalized_ ? ViewOf(v).entries : labels_.For(v);
   }
 
   /// True if §V quad labels (BFS parents) are available — recorded at
@@ -203,7 +192,7 @@ class WcIndex {
       return {pv.data(), pv.size()};
     }
     if (!flat_parents_.empty()) {
-      auto offsets = flat_.raw_offsets();
+      auto offsets = source_.flat().raw_offsets();
       return flat_parents_.subspan(
           offsets[v], offsets[v + 1] - offsets[v]);
     }
@@ -216,26 +205,23 @@ class WcIndex {
   /// them on write.)
   std::span<const Vertex> flat_parents() const { return flat_parents_; }
 
-  /// Number of vertices indexed. Routed through the serving backend once
+  /// Number of vertices indexed. Routed through the label source once
   /// finalized so mmap-loaded indexes (whose append-oriented labels() are
   /// empty) report correctly.
   size_t NumVertices() const {
-    if (compressed_backend_) return compressed_.NumVertices();
-    return finalized_ ? flat_.NumVertices() : labels_.NumVertices();
+    return finalized_ ? source_.NumVertices() : labels_.NumVertices();
   }
 
   /// Index size in bytes (Figures 6/9/11 report this). A finalized index
-  /// reports the backend it serves queries from — the compressed bytes
-  /// for a compressed-snapshot load.
+  /// reports the source it serves queries from — the compressed bytes for
+  /// a compressed-snapshot load.
   size_t MemoryBytes() const {
-    if (compressed_backend_) return compressed_.MemoryBytes();
-    return finalized_ ? flat_.MemoryBytes() : labels_.MemoryBytes();
+    return finalized_ ? source_.MemoryBytes() : labels_.MemoryBytes();
   }
 
   /// Total number of label entries.
   size_t TotalEntries() const {
-    if (compressed_backend_) return compressed_.TotalEntries();
-    return finalized_ ? flat_.TotalEntries() : labels_.TotalEntries();
+    return finalized_ ? source_.TotalEntries() : labels_.TotalEntries();
   }
 
   /// Serialization of the append-oriented labels (little-endian,
@@ -243,14 +229,14 @@ class WcIndex {
   Status Save(const std::string& path) const;
   static Result<WcIndex> Load(const std::string& path);
 
-  /// Writes the finalized flat backend plus the vertex order as a
-  /// page-aligned, checksummed snapshot (labeling/snapshot.h). Requires
-  /// finalized(). Parent quads, when present, are flattened and written
-  /// as the v2 parents section so LoadMmap keeps path reconstruction on
-  /// the fast unwind. `write_options.compress` stores the labels in the
-  /// v3 compressed sections (refused when the index carries parents); a
-  /// compressed-backend index re-materializes its flat arrays first, so
-  /// this is also the compress/decompress migration path.
+  /// Writes the finalized labels plus the vertex order as a page-aligned,
+  /// checksummed snapshot (labeling/snapshot.h). Requires finalized().
+  /// Parent quads, when present, are flattened and written as the v2
+  /// parents section so LoadMmap keeps path reconstruction on the fast
+  /// unwind. `write_options.compress` stores the labels in the v3
+  /// compressed sections (refused when the index carries parents). The
+  /// source is materialized flat first, so this is also the
+  /// compress/decompress migration path.
   Status SaveSnapshot(const std::string& path,
                       const SnapshotWriteOptions& write_options = {}) const;
 
@@ -260,9 +246,8 @@ class WcIndex {
   /// append-oriented labels() are empty, so dynamic updates and
   /// construction-side reuse need Load instead. Only full-range snapshots
   /// with an order section qualify — shard files go through
-  /// QueryEngine::OpenMmap. A v3 compressed snapshot loads into the
-  /// compressed backend (see compressed()): label bytes stay on disk and
-  /// page in on first decode.
+  /// QueryEngine::OpenMmap. A v3 compressed snapshot loads as a compressed
+  /// label source: label bytes stay on disk and page in on first decode.
   static Result<WcIndex> LoadMmap(const std::string& path,
                                   const SnapshotLoadOptions& options = {});
 
@@ -276,22 +261,22 @@ class WcIndex {
         order_(std::move(order)),
         stats_(stats) {}
 
-  /// Decodes L(v) of the compressed backend into thread-local scratch and
-  /// returns a view over it. Two scratch slots rotate per thread, so at
-  /// most two returned views are simultaneously valid — exactly the shape
-  /// every query kernel needs (s and t).
-  FlatLabelView DecodedView(Vertex v) const;
+  /// One of two thread-local decode scratch slots, rotating per call: at
+  /// most two views over them are valid at once — one per query endpoint.
+  static DecodedLabel* NextScratch();
+
+  FlatLabelView ViewOf(Vertex v) const {
+    return source_.View(v, NextScratch());
+  }
 
   LabelSet labels_;
-  FlatLabelSet flat_;
-  CompressedFlatLabelSet compressed_;
-  bool compressed_backend_ = false;
+  LabelSource source_;
   bool finalized_ = false;
   VertexOrder order_;
   WcIndexBuildStats stats_;
   std::vector<std::vector<Vertex>> parents_;
   /// Per-entry parents in flat-entry order, pointing into an mmap'd
-  /// snapshot (kept alive by flat_'s mapping). Mutually exclusive with
+  /// snapshot (kept alive by source_'s mapping). Mutually exclusive with
   /// parents_ in practice: set only by LoadMmap.
   std::span<const Vertex> flat_parents_;
 };

@@ -5,7 +5,6 @@
 #include <limits>
 #include <string>
 
-#include "util/checksum.h"
 
 namespace wcsd {
 
@@ -279,47 +278,6 @@ Status CompressedFlatLabelSet::Validate(ValidateLevel level) const {
     }
   }
   return Status::OK();
-}
-
-bool CompressedFlatLabelSet::ChainContentCrcs(uint32_t* entries_crc,
-                                              uint32_t* groups_crc) const {
-  // Chained per-vertex CRCs over the decoded arrays: HubGroup.begin is
-  // vertex-relative, so concatenating per-vertex slices reproduces the
-  // flat backend's raw arrays byte for byte — chaining shard slices in
-  // tiling order therefore reproduces IndexContentFingerprint of the
-  // unsharded flat index, whatever the storage backend per shard.
-  const uint64_t n = NumVertices();
-  DecodedLabel scratch;
-  for (Vertex v = 0; v < n; ++v) {
-    if (!DecodeVertex(static_cast<Vertex>(v), &scratch).ok()) return false;
-    *entries_crc = Crc32c(scratch.entries.data(),
-                          scratch.entries.size() * sizeof(LabelEntry),
-                          *entries_crc);
-    *groups_crc = Crc32c(scratch.groups.data(),
-                         scratch.groups.size() * sizeof(HubGroup),
-                         *groups_crc);
-  }
-  return true;
-}
-
-uint64_t CompressedFlatLabelSet::ContentFingerprint() const {
-  const uint64_t n = NumVertices();
-  const uint32_t seed = Crc32c(&n, sizeof(n));
-  uint32_t entries_crc = seed;
-  uint32_t groups_crc = seed;
-  if (!ChainContentCrcs(&entries_crc, &groups_crc)) return 0;
-  return (uint64_t{groups_crc} << 32) | entries_crc;
-}
-
-bool operator==(const CompressedFlatLabelSet& a,
-                const CompressedFlatLabelSet& b) {
-  auto span_eq = [](auto x, auto y) {
-    return std::equal(x.begin(), x.end(), y.begin(), y.end());
-  };
-  return span_eq(a.offsets_, b.offsets_) &&
-         span_eq(a.group_offsets_, b.group_offsets_) &&
-         span_eq(a.comp_offsets_, b.comp_offsets_) &&
-         span_eq(a.blob_, b.blob_) && span_eq(a.dictionary_, b.dictionary_);
 }
 
 namespace {

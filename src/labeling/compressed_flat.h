@@ -131,18 +131,6 @@ class CompressedFlatLabelSet {
   /// distance monotonicity.
   Status Validate(ValidateLevel level) const;
 
-  /// Content fingerprint of the DECODED index: identical to
-  /// IndexContentFingerprint over the equivalent FlatLabelSet, so caches
-  /// and manifests bind compressed and flat servings of one index to the
-  /// same identity. Costs a full decode pass.
-  uint64_t ContentFingerprint() const;
-
-  /// Chains this set's decoded entry/group payload CRCs onto the caller's
-  /// running values — the shard-set form of ContentFingerprint (see
-  /// QueryEngine::ContentFingerprint). Returns false when a vertex
-  /// fails to decode. Costs a full decode pass.
-  bool ChainContentCrcs(uint32_t* entries_crc, uint32_t* groups_crc) const;
-
   /// Raw arrays in storage order, for the snapshot writer.
   std::span<const uint64_t> raw_offsets() const { return offsets_; }
   std::span<const uint64_t> raw_group_offsets() const {
@@ -151,9 +139,6 @@ class CompressedFlatLabelSet {
   std::span<const uint64_t> raw_comp_offsets() const { return comp_offsets_; }
   std::span<const uint8_t> raw_blob() const { return blob_; }
   std::span<const Quality> raw_dictionary() const { return dictionary_; }
-
-  friend bool operator==(const CompressedFlatLabelSet& a,
-                         const CompressedFlatLabelSet& b);
 
  private:
   struct OwnedArrays {

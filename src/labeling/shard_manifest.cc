@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 
+#include "labeling/label_source.h"
 #include "labeling/snapshot.h"
 #include "util/atomic_file.h"
 #include "util/checksum.h"
@@ -81,15 +82,7 @@ Status ShardManifest::ValidateTiling() const {
 }
 
 uint64_t IndexContentFingerprint(const FlatLabelSet& flat) {
-  const uint64_t n = flat.NumVertices();
-  const uint32_t seed = Crc32c(&n, sizeof(n));
-  auto entries = flat.raw_entries();
-  auto groups = flat.raw_groups();
-  const uint32_t entries_crc =
-      Crc32c(entries.data(), entries.size() * sizeof(LabelEntry), seed);
-  const uint32_t groups_crc =
-      Crc32c(groups.data(), groups.size() * sizeof(HubGroup), seed);
-  return (uint64_t{groups_crc} << 32) | entries_crc;
+  return LabelSource(flat).ContentFingerprint();
 }
 
 Status WriteShardManifest(const std::string& path,

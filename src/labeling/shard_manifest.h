@@ -83,8 +83,8 @@ struct ShardManifest {
 /// Fingerprint of a label set's content: CRC-32C over the entry and
 /// hub-directory payload bytes (each seeded with the vertex count),
 /// packed (groups_crc << 32) | entries_crc. Computable incrementally from
-/// shard slices in tiling order — OpenManifest recomputes it that way
-/// under verify_checksums.
+/// shard slices in tiling order (labeling/label_source.h ContentCrcChain) —
+/// OpenManifest recomputes it that way under verify_checksums.
 uint64_t IndexContentFingerprint(const FlatLabelSet& flat);
 
 /// Serializes `manifest` to `path` (see the file-layout comment above).

@@ -321,68 +321,17 @@ std::span<const T> SectionSpan(const std::byte* base,
           static_cast<size_t>(desc.element_count)};
 }
 
-}  // namespace
-
-Status WriteSnapshot(const std::string& path, const FlatLabelSet& flat,
-                     const VertexOrder* order,
-                     std::span<const Vertex> parents,
-                     const SnapshotWriteOptions& write_options) {
-  if (order != nullptr && order->size() != flat.NumVertices()) {
-    return Status::InvalidArgument(
-        "order size does not match the label set");
-  }
-  if (!parents.empty() && parents.size() != flat.raw_entries().size()) {
-    return Status::InvalidArgument(
-        "parents size does not match the entry count");
-  }
-  if (write_options.compress && !parents.empty()) {
-    return Status::InvalidArgument(
-        "compressed snapshots cannot carry parent quads");
-  }
-  SnapshotHeader header = {};
-  header.flags = order != nullptr ? kFlagHasOrder : 0;
-  header.num_vertices_total = flat.NumVertices();
-  header.vertex_begin = 0;
-  header.vertex_end = flat.NumVertices();
-  if (write_options.compress) {
-    const CompressedFlatLabelSet comp = CompressedFlatLabelSet::FromFlat(flat);
-    const SectionData sections[kNumSections] = {
-        {order != nullptr ? order->by_rank().data() : nullptr,
-         order != nullptr ? order->size() : 0},
-        {comp.raw_offsets().data(), comp.raw_offsets().size()},
-        {nullptr, 0},
-        {comp.raw_group_offsets().data(), comp.raw_group_offsets().size()},
-        {nullptr, 0},
-        {nullptr, 0},
-        {comp.raw_comp_offsets().data(), comp.raw_comp_offsets().size()},
-        {comp.raw_blob().data(), comp.raw_blob().size()},
-        {comp.raw_dictionary().data(), comp.raw_dictionary().size()},
-    };
-    return WriteSnapshotFile(path, header, sections);
-  }
-  const SectionData sections[kNumSections] = {
-      {order != nullptr ? order->by_rank().data() : nullptr,
-       order != nullptr ? order->size() : 0},
-      {flat.raw_offsets().data(), flat.raw_offsets().size()},
-      {flat.raw_entries().data(), flat.raw_entries().size()},
-      {flat.raw_group_offsets().data(), flat.raw_group_offsets().size()},
-      {flat.raw_groups().data(), flat.raw_groups().size()},
-      {parents.data(), parents.size()},
-      {nullptr, 0},
-      {nullptr, 0},
-      {nullptr, 0},
-  };
-  return WriteSnapshotFile(path, header, sections);
-}
-
-Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
-                          uint64_t begin, uint64_t end,
-                          uint64_t num_vertices_total,
-                          std::span<const Vertex> parents,
-                          const SnapshotWriteOptions& write_options) {
-  if (begin > end || end > flat.NumVertices() ||
-      num_vertices_total != flat.NumVertices()) {
-    return Status::InvalidArgument("invalid shard vertex range");
+/// Writes local vertices [begin, end) of `flat` — all of them for a full
+/// snapshot — with the offset arrays rebased so the file stands alone.
+/// Entry and group payloads are written as direct slices; HubGroup.begin is
+/// already vertex-relative, so no rewrite is needed there. `parents`, when
+/// non-empty, is the whole set's per-entry array.
+Status WriteRange(const std::string& path, const FlatLabelSet& flat,
+                  uint64_t begin, uint64_t end, const VertexOrder* order,
+                  std::span<const Vertex> parents,
+                  const SnapshotWriteOptions& write_options) {
+  if (begin > end || end >= flat.raw_offsets().size()) {
+    return Status::InvalidArgument("invalid snapshot vertex range");
   }
   if (!parents.empty() && parents.size() != flat.raw_entries().size()) {
     return Status::InvalidArgument(
@@ -394,9 +343,6 @@ Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
   }
   auto offsets = flat.raw_offsets();
   auto group_offsets = flat.raw_group_offsets();
-  // Rebase the offset arrays so the shard file stands alone. Entry and
-  // group payloads are written as direct slices; HubGroup.begin is already
-  // vertex-relative, so no rewrite is needed there.
   std::vector<uint64_t> local_offsets(end - begin + 1);
   std::vector<uint64_t> local_group_offsets(end - begin + 1);
   for (uint64_t v = begin; v <= end; ++v) {
@@ -408,26 +354,28 @@ Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
   auto groups = flat.raw_groups().subspan(
       group_offsets[begin], group_offsets[end] - group_offsets[begin]);
   // The parents slice tracks the entry slice index-for-index.
-  std::span<const Vertex> shard_parents =
+  std::span<const Vertex> range_parents =
       parents.empty() ? parents
                       : parents.subspan(offsets[begin],
                                         offsets[end] - offsets[begin]);
 
   SnapshotHeader header = {};
-  header.flags = 0;
-  header.num_vertices_total = num_vertices_total;
+  header.flags = order != nullptr ? kFlagHasOrder : 0;
+  header.num_vertices_total = flat.NumVertices();
   header.vertex_begin = begin;
   header.vertex_end = end;
+  const SectionData order_section = {
+      order != nullptr ? order->by_rank().data() : nullptr,
+      order != nullptr ? order->size() : 0};
   if (write_options.compress) {
-    // Compress the shard's slice as a self-contained label set (its own
+    // Compress the range as a self-contained label set (its own
     // dictionary): a temporary FlatLabelSet over the rebased arrays. The
     // spans only live for this function — FromFlat copies what it keeps.
-    const FlatLabelSet slice = FlatLabelSet::FromExternal(
-        local_offsets, entries, local_group_offsets, groups, nullptr);
     const CompressedFlatLabelSet comp =
-        CompressedFlatLabelSet::FromFlat(slice);
+        CompressedFlatLabelSet::FromFlat(FlatLabelSet::FromExternal(
+            local_offsets, entries, local_group_offsets, groups, nullptr));
     const SectionData sections[kNumSections] = {
-        {nullptr, 0},
+        order_section,
         {comp.raw_offsets().data(), comp.raw_offsets().size()},
         {nullptr, 0},
         {comp.raw_group_offsets().data(), comp.raw_group_offsets().size()},
@@ -440,17 +388,43 @@ Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
     return WriteSnapshotFile(path, header, sections);
   }
   const SectionData sections[kNumSections] = {
-      {nullptr, 0},
+      order_section,
       {local_offsets.data(), local_offsets.size()},
       {entries.data(), entries.size()},
       {local_group_offsets.data(), local_group_offsets.size()},
       {groups.data(), groups.size()},
-      {shard_parents.data(), shard_parents.size()},
+      {range_parents.data(), range_parents.size()},
       {nullptr, 0},
       {nullptr, 0},
       {nullptr, 0},
   };
   return WriteSnapshotFile(path, header, sections);
+}
+
+}  // namespace
+
+Status WriteSnapshot(const std::string& path, const FlatLabelSet& flat,
+                     const VertexOrder* order,
+                     std::span<const Vertex> parents,
+                     const SnapshotWriteOptions& write_options) {
+  if (order != nullptr && order->size() != flat.NumVertices()) {
+    return Status::InvalidArgument(
+        "order size does not match the label set");
+  }
+  return WriteRange(path, flat, 0, flat.NumVertices(), order, parents,
+                    write_options);
+}
+
+Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
+                          uint64_t begin, uint64_t end,
+                          uint64_t num_vertices_total,
+                          std::span<const Vertex> parents,
+                          const SnapshotWriteOptions& write_options) {
+  if (num_vertices_total != flat.NumVertices()) {
+    return Status::InvalidArgument("invalid shard vertex range");
+  }
+  return WriteRange(path, flat, begin, end, /*order=*/nullptr, parents,
+                    write_options);
 }
 
 Result<MappedSnapshot> LoadSnapshotMmap(const std::string& path,
@@ -481,35 +455,29 @@ Result<MappedSnapshot> LoadSnapshotMmap(const std::string& path,
 
   MappedSnapshot snapshot;
   snapshot.info = InfoFromHeader(header);
-  const SnapshotVerifyLevel level =
-      options.deep_validate ? SnapshotVerifyLevel::kDeep
-                            : options.verify_level;
   const ValidateLevel validate =
-      level == SnapshotVerifyLevel::kDeep        ? ValidateLevel::kDeep
-      : level == SnapshotVerifyLevel::kDirectory ? ValidateLevel::kDirectory
-                                                 : ValidateLevel::kShape;
+      options.verify_level == SnapshotVerifyLevel::kDeep ? ValidateLevel::kDeep
+      : options.verify_level == SnapshotVerifyLevel::kDirectory
+          ? ValidateLevel::kDirectory
+          : ValidateLevel::kShape;
   if (snapshot.info.compressed) {
-    snapshot.compressed = CompressedFlatLabelSet::FromExternal(
+    snapshot.labels = LabelSource(CompressedFlatLabelSet::FromExternal(
         SectionSpan<uint64_t>(base, header.sections[kSectionOffsets]),
         SectionSpan<uint64_t>(base, header.sections[kSectionGroupOffsets]),
         SectionSpan<uint64_t>(base, header.sections[kSectionCompOffsets]),
         SectionSpan<uint8_t>(base, header.sections[kSectionBlob]),
-        SectionSpan<Quality>(base, header.sections[kSectionDict]), mapping);
-    Status valid = snapshot.compressed.Validate(validate);
-    if (!valid.ok()) {
-      return Status::Corruption(valid.message() + " in " + path);
-    }
+        SectionSpan<Quality>(base, header.sections[kSectionDict]), mapping));
   } else {
-    snapshot.labels = FlatLabelSet::FromExternal(
+    snapshot.labels = LabelSource(FlatLabelSet::FromExternal(
         SectionSpan<uint64_t>(base, header.sections[kSectionOffsets]),
         SectionSpan<LabelEntry>(base, header.sections[kSectionEntries]),
         SectionSpan<uint64_t>(base, header.sections[kSectionGroupOffsets]),
         SectionSpan<HubGroup>(base, header.sections[kSectionGroups]),
-        mapping);
-    Status valid = snapshot.labels.Validate(validate);
-    if (!valid.ok()) {
-      return Status::Corruption(valid.message() + " in " + path);
-    }
+        mapping));
+  }
+  Status valid = snapshot.labels.Validate(validate);
+  if (!valid.ok()) {
+    return Status::Corruption(valid.message() + " in " + path);
   }
   if (snapshot.info.has_order) {
     auto order = SectionSpan<Vertex>(base, header.sections[kSectionOrder]);

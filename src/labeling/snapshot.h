@@ -37,8 +37,9 @@
 // Writers emit the smallest version that can carry the payload (v1 with
 // neither parents nor compression, v2 with parents only), so old files
 // stay byte-identical and old readers of them keep working. Readers accept
-// all three versions; loading surfaces has_parents / compressed so callers
-// can report the serving mode instead of silently degrading.
+// all three versions and hand either storage back as one LabelSource
+// (labeling/label_source.h); info.has_parents / info.compressed let callers
+// report the serving mode instead of silently degrading.
 
 #ifndef WCSD_LABELING_SNAPSHOT_H_
 #define WCSD_LABELING_SNAPSHOT_H_
@@ -48,8 +49,8 @@
 #include <string>
 #include <vector>
 
-#include "labeling/compressed_flat.h"
 #include "labeling/flat_label_set.h"
+#include "labeling/label_source.h"
 #include "order/vertex_order.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -78,8 +79,8 @@ struct SnapshotInfo {
   /// servers surface that degraded mode through their stats.
   bool has_parents = false;
   /// True when the file stores labels in the compressed v3 sections
-  /// (labeling/compressed_flat.h). Such a file maps into
-  /// MappedSnapshot::compressed; `labels` stays empty.
+  /// (labeling/compressed_flat.h); MappedSnapshot::labels then decodes
+  /// per vertex.
   bool compressed = false;
   /// The header's self-CRC — a cheap identity for the whole file (the
   /// header embeds every section's CRC). Shard manifests record it to
@@ -91,21 +92,18 @@ struct SnapshotInfo {
   }
 };
 
-/// A snapshot opened for serving: label views into the mapping plus the
-/// (copied, O(n)) vertex order. The FlatLabelSet keeps the mapping alive.
+/// A snapshot opened for serving: a label source over the mapping plus the
+/// (copied, O(n)) vertex order. The source keeps the mapping alive; over a
+/// compressed file it is the cold tier — label bytes stay on disk and page
+/// in on first decode.
 struct MappedSnapshot {
   SnapshotInfo info;
-  /// Uncompressed files only; empty when info.compressed.
-  FlatLabelSet labels;
-  /// Compressed (v3) files only; empty otherwise. Keeps the mapping alive
-  /// the same way `labels` does for uncompressed files — the cold tier:
-  /// label bytes stay on disk and page in on first decode.
-  CompressedFlatLabelSet compressed;
+  LabelSource labels;
   /// rank -> vertex permutation; empty unless info.has_order.
   std::vector<Vertex> order_by_rank;
   /// Per-entry parent quads, aligned index-for-index with the flat entry
-  /// array; empty unless info.has_parents. Points into the mapping (kept
-  /// alive by `labels`).
+  /// array; empty unless info.has_parents (never set on compressed files).
+  /// Points into the mapping (kept alive by `labels`).
   std::span<const Vertex> parents;
 };
 
@@ -134,9 +132,6 @@ struct SnapshotLoadOptions {
   bool verify_checksums = false;
   /// Structural validation tier (see SnapshotVerifyLevel).
   SnapshotVerifyLevel verify_level = SnapshotVerifyLevel::kOffsets;
-  /// Legacy spelling of verify_level = kDeep; the effective tier is the
-  /// deeper of the two knobs.
-  bool deep_validate = false;
 };
 // Trust model: the default (everything off) validates the header page and
 // the O(vertices) offset arrays only, so query kernels trust the section

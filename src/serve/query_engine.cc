@@ -6,7 +6,6 @@
 #include "core/path_index.h"
 #include "labeling/shard_manifest.h"
 #include "search/constrained_dijkstra.h"
-#include "util/checksum.h"
 
 namespace wcsd {
 
@@ -28,14 +27,10 @@ QueryEngine::QueryEngine(std::shared_ptr<const WcIndex> index,
     : index_(std::move(index)), options_(std::move(options)) {
   Shard shard;
   shard.end = num_vertices_ = index_->NumVertices();
-  if (index_->compressed()) {
-    shard.compressed = index_->compressed_labels();
-    shard.is_compressed = true;
-  } else if (index_->finalized()) {
-    shard.labels = index_->flat_labels();
-  } else {
-    shard.labels = FlatLabelSet::FromLabelSet(index_->labels());
-  }
+  shard.labels =
+      index_->finalized()
+          ? index_->label_source()
+          : LabelSource(FlatLabelSet::FromLabelSet(index_->labels()));
   shards_.push_back(std::move(shard));
   Start(std::nullopt);
 }
@@ -100,7 +95,7 @@ void QueryEngine::Start(std::optional<uint64_t> known_fingerprint) {
   for (const Shard& shard : shards_) {
     begins_.push_back(shard.begin);
     if (shard.quarantined) ++num_quarantined_;
-    if (shard.is_compressed) ++num_compressed_;
+    if (shard.labels.compressed()) ++num_compressed_;
   }
   size_t threads = ResolveServeThreads(options_.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
@@ -130,32 +125,13 @@ void QueryEngine::Start(std::optional<uint64_t> known_fingerprint) {
 }
 
 uint64_t QueryEngine::ContentFingerprint() const {
-  // Chain the per-shard CRCs in tiling order: CRC of a concatenation is
-  // the CRC of its pieces chained, so this equals IndexContentFingerprint
-  // of the unsharded index no matter where the cuts fall (the same
-  // computation OpenManifest verifies against the manifest's fingerprint).
-  const uint64_t n = num_vertices_;
-  const uint32_t seed = Crc32c(&n, sizeof(n));
-  uint32_t entries_crc = seed;
-  uint32_t groups_crc = seed;
+  // The same chain OpenManifest verifies against the manifest's
+  // fingerprint, over the shards in tiling order.
+  ContentCrcChain chain(num_vertices_);
   for (const Shard& shard : shards_) {
-    if (shard.is_compressed) {
-      // Same chain through a per-vertex decode: HubGroup.begin is
-      // vertex-relative, so the decoded slices concatenate to the raw
-      // arrays byte for byte.
-      if (!shard.compressed.ChainContentCrcs(&entries_crc, &groups_crc)) {
-        return 0;
-      }
-      continue;
-    }
-    auto entries = shard.labels.raw_entries();
-    auto groups = shard.labels.raw_groups();
-    entries_crc = Crc32c(entries.data(), entries.size() * sizeof(LabelEntry),
-                         entries_crc);
-    groups_crc =
-        Crc32c(groups.data(), groups.size() * sizeof(HubGroup), groups_crc);
+    if (!chain.Append(shard.labels)) return 0;
   }
-  return (uint64_t{groups_crc} << 32) | entries_crc;
+  return chain.Fingerprint();
 }
 
 Result<QueryEngine> QueryEngine::OpenMmap(
@@ -181,12 +157,7 @@ Result<QueryEngine> QueryEngine::OpenMmap(
     shard.begin = mapped.info.vertex_begin;
     shard.end = mapped.info.vertex_end;
     shard.path = path;
-    if (mapped.info.compressed) {
-      shard.compressed = std::move(mapped.compressed);
-      shard.is_compressed = true;
-    } else {
-      shard.labels = std::move(mapped.labels);
-    }
+    shard.labels = std::move(mapped.labels);
     shards.push_back(std::move(shard));
   }
   return Assemble(std::move(shards), num_vertices, std::move(options));
@@ -205,10 +176,7 @@ Result<QueryEngine> QueryEngine::OpenManifest(
 
   // Fingerprint recomputation chains the per-shard payload CRCs in tiling
   // order; ValidateTiling just proved the manifest order IS tiling order.
-  const uint64_t n = manifest.num_vertices_total;
-  const uint32_t crc_seed = Crc32c(&n, sizeof(n));
-  uint32_t entries_crc = crc_seed;
-  uint32_t groups_crc = crc_seed;
+  ContentCrcChain chain(manifest.num_vertices_total);
 
   std::vector<Shard> shards;
   size_t healthy = 0;
@@ -244,21 +212,13 @@ Result<QueryEngine> QueryEngine::OpenManifest(
             "manifest " + manifest_path + ": " + which +
             " is not the file the manifest was written for (snapshot header "
             "checksum mismatch)");
-      } else {
-        // Logical totals work for both backends: a compressed shard keeps
-        // the logical offset arrays populated exactly so that counts
-        // cross-check without a decode.
-        const uint64_t entries = mapped.info.compressed
-                                     ? mapped.compressed.TotalEntries()
-                                     : mapped.labels.TotalEntries();
-        const uint64_t groups = mapped.info.compressed
-                                    ? mapped.compressed.TotalGroups()
-                                    : mapped.labels.raw_groups().size();
-        if (entries != entry.entry_count || groups != entry.group_count) {
-          failure = Status::Corruption(
-              "manifest " + manifest_path + ": " + which +
-              " entry/group counts disagree with the manifest");
-        }
+      } else if (mapped.labels.TotalEntries() != entry.entry_count ||
+                 mapped.labels.TotalGroups() != entry.group_count) {
+        // Logical totals, so compressed shards cross-check without a
+        // decode.
+        failure = Status::Corruption(
+            "manifest " + manifest_path + ": " + which +
+            " entry/group counts disagree with the manifest");
       }
     }
     if (!failure.ok()) {
@@ -276,33 +236,15 @@ Result<QueryEngine> QueryEngine::OpenManifest(
       continue;
     }
     MappedSnapshot& mapped = snapshot.value();
-    if (load.verify_checksums) {
-      if (mapped.info.compressed) {
-        if (!mapped.compressed.ChainContentCrcs(&entries_crc, &groups_crc)) {
-          return Status::Corruption(
-              "manifest " + manifest_path + ": " + which +
-              " compressed labels fail to decode for fingerprinting");
-        }
-      } else {
-        auto entry_bytes = mapped.labels.raw_entries();
-        auto group_bytes = mapped.labels.raw_groups();
-        entries_crc = Crc32c(entry_bytes.data(),
-                             entry_bytes.size() * sizeof(LabelEntry),
-                             entries_crc);
-        groups_crc = Crc32c(group_bytes.data(),
-                            group_bytes.size() * sizeof(HubGroup), groups_crc);
-      }
+    if (load.verify_checksums && !chain.Append(mapped.labels)) {
+      return Status::Corruption("manifest " + manifest_path + ": " + which +
+                                " labels fail to decode for fingerprinting");
     }
     Shard shard;
     shard.begin = entry.vertex_begin;
     shard.end = entry.vertex_end;
     shard.path = path;
-    if (mapped.info.compressed) {
-      shard.compressed = std::move(mapped.compressed);
-      shard.is_compressed = true;
-    } else {
-      shard.labels = std::move(mapped.labels);
-    }
+    shard.labels = std::move(mapped.labels);
     shards.push_back(std::move(shard));
     ++healthy;
   }
@@ -313,9 +255,7 @@ Result<QueryEngine> QueryEngine::OpenManifest(
         "answer nothing");
   }
   if (load.verify_checksums && fingerprint_complete) {
-    const uint64_t fingerprint =
-        (uint64_t{groups_crc} << 32) | entries_crc;
-    if (fingerprint != manifest.fingerprint) {
+    if (chain.Fingerprint() != manifest.fingerprint) {
       return Status::Corruption(
           "manifest " + manifest_path +
           ": shard contents do not match the recorded index fingerprint");
@@ -335,13 +275,10 @@ std::vector<ShardBalanceEntry> QueryEngine::ShardBalance() const {
   if (index_ != nullptr) return balance;
   balance.reserve(shards_.size());
   for (const Shard& shard : shards_) {
-    balance.push_back(ShardBalanceEntry{
-        shard.begin, shard.end,
-        shard.is_compressed ? shard.compressed.TotalEntries()
-                            : shard.labels.TotalEntries(),
-        shard.is_compressed ? shard.compressed.MemoryBytes()
-                            : shard.labels.MemoryBytes(),
-        shard.quarantined});
+    balance.push_back(ShardBalanceEntry{shard.begin, shard.end,
+                                        shard.labels.TotalEntries(),
+                                        shard.labels.MemoryBytes(),
+                                        shard.quarantined});
   }
   return balance;
 }
@@ -356,16 +293,13 @@ const QueryEngine::Shard& QueryEngine::ShardOf(Vertex v) const {
 FlatLabelView QueryEngine::ViewOf(Vertex v, DecodedLabel* scratch) const {
   const Shard& shard = ShardOf(v);
   const Vertex local = static_cast<Vertex>(v - shard.begin);
-  if (!shard.is_compressed) return shard.labels.View(local);
-  if (decode_cache_ != nullptr) {
-    // Keyed by GLOBAL vertex id, so one cache serves every shard.
-    if (!decode_cache_->GetOrDecode(shard.compressed, local, v, scratch)) {
-      scratch->Clear();
-    }
-  } else if (!shard.compressed.DecodeVertex(local, scratch).ok()) {
-    scratch->Clear();
-  }
-  return scratch->View();
+  if (decode_cache_ == nullptr) return shard.labels.View(local, scratch);
+  // Keyed by GLOBAL vertex id, so one cache serves every shard.
+  return shard.labels.View(
+      local, scratch,
+      [&](const CompressedFlatLabelSet& set, Vertex u, DecodedLabel* out) {
+        return decode_cache_->GetOrDecode(set, u, v, out);
+      });
 }
 
 Distance QueryEngine::QueryNoStats(Vertex s, Vertex t, Quality w) const {
@@ -379,17 +313,13 @@ Distance QueryEngine::QueryNoStats(Vertex s, Vertex t, Quality w) const {
       return QueryFlatMergeWithInterval(ViewOf(s, &ls), ViewOf(t, &lt), w);
     });
   }
-  if (num_compressed_ > 0 && decode_cache_ == nullptr) {
-    // Two compressed endpoints without a decode cache stream their varint
-    // groups directly instead of materializing either label.
+  if (decode_cache_ == nullptr) {
+    // Straight to the two sources' merge (which streams two compressed
+    // labels instead of materializing either).
     const Shard& a = ShardOf(s);
     const Shard& b = ShardOf(t);
-    if (a.is_compressed && b.is_compressed) {
-      return QueryCompressedMerge(a.compressed,
-                                  static_cast<Vertex>(s - a.begin),
-                                  b.compressed,
-                                  static_cast<Vertex>(t - b.begin), w);
-    }
+    return QueryMerge(a.labels, static_cast<Vertex>(s - a.begin), b.labels,
+                      static_cast<Vertex>(t - b.begin), w, &ls, &lt);
   }
   return QueryFlatMerge(ViewOf(s, &ls), ViewOf(t, &lt), w);
 }
@@ -434,14 +364,8 @@ QueryEngineStats QueryEngine::stats() const {
   stats.compressed = num_compressed_ > 0 ? 1 : 0;
   for (const Shard& shard : shards_) {
     if (shard.quarantined) continue;
-    if (shard.is_compressed) {
-      stats.label_bytes += shard.compressed.MemoryBytes();
-      stats.uncompressed_label_bytes += shard.compressed.UncompressedBytes();
-    } else {
-      const size_t bytes = shard.labels.MemoryBytes();
-      stats.label_bytes += bytes;
-      stats.uncompressed_label_bytes += bytes;
-    }
+    stats.label_bytes += shard.labels.MemoryBytes();
+    stats.uncompressed_label_bytes += shard.labels.UncompressedBytes();
   }
   return stats;
 }

@@ -19,8 +19,8 @@
 // and a manifest-described shard set (OpenManifest) are N shards. Every
 // query routes its endpoints through the same shard lookup, so one process
 // can serve an index whose snapshots it would not want to hold as a single
-// file, and each shard serves flat or compressed labels from whatever its
-// file carries.
+// file, and each shard is one LabelSource (labeling/label_source.h) over
+// whatever its file carries, flat or compressed.
 //
 // Degraded mode: OpenManifest can optionally quarantine a shard that is
 // missing or corrupt instead of failing the whole open. The engine then
@@ -44,8 +44,7 @@
 
 #include "core/batch.h"
 #include "core/wc_index.h"
-#include "labeling/compressed_flat.h"
-#include "labeling/flat_label_set.h"
+#include "labeling/label_source.h"
 #include "labeling/snapshot.h"
 #include "serve/batch_runner.h"
 #include "serve/decode_cache.h"
@@ -255,9 +254,9 @@ class QueryEngine {
   size_t num_threads() const { return pool_ ? pool_->size() : 1; }
   QueryEngineStats stats() const;
 
-  /// True when any shard serves the compressed label backend (a v3
-  /// compressed snapshot; mixed shard sets are fine — each shard serves
-  /// from whatever backend its file carries).
+  /// True when any shard's labels are stored compressed (a v3 snapshot;
+  /// mixed shard sets are fine — each shard serves whatever its file
+  /// carries).
   bool compressed() const { return num_compressed_ > 0; }
 
   /// True for engines over a WcIndex (the constructor and Open); index()
@@ -286,14 +285,10 @@ class QueryEngine {
   struct Shard {
     uint64_t begin = 0;
     uint64_t end = 0;
-    FlatLabelSet labels;  // keeps its shard's mapping alive; empty when
-                          // quarantined or compressed
-    std::string path;     // where the mapping came from, for diagnostics
+    LabelSource labels;  // keeps its shard's mapping alive; empty when
+                         // quarantined
+    std::string path;    // where the mapping came from, for diagnostics
     bool quarantined = false;
-    /// Compressed (v3) shards serve from here instead of `labels`; the set
-    /// keeps the mapping alive the same way.
-    CompressedFlatLabelSet compressed;
-    bool is_compressed = false;
   };
 
   QueryEngine() = default;
@@ -317,14 +312,11 @@ class QueryEngine {
 
   /// The shard holding v (v < num_vertices_).
   const Shard& ShardOf(Vertex v) const;
-  /// Label view of vertex v, routed to its shard. Must not be called for
-  /// a vertex in a quarantined shard (callers check Unavailable first).
-  /// A flat shard returns a view straight into its mapping (`scratch`
-  /// untouched); a compressed shard decodes into `scratch` — through the
-  /// decode cache when configured — and returns a view over it, so the
-  /// view lives as long as the caller's scratch. A failed decode (corrupt
-  /// bytes below the deep-validation tiers) yields an empty view, which
-  /// answers like an unreachable vertex.
+  /// Label view of vertex v, routed to its shard's LabelSource::View (a
+  /// decode, when there is one, goes through the decode cache if
+  /// configured), so the view lives as long as the caller's scratch. Must
+  /// not be called for a vertex in a quarantined shard (callers check
+  /// Unavailable first).
   FlatLabelView ViewOf(Vertex v, DecodedLabel* scratch) const;
   /// True when v's labels live in a quarantined shard.
   bool Unavailable(Vertex v) const { return ShardOf(v).quarantined; }
@@ -334,12 +326,13 @@ class QueryEngine {
   ServeOutcome QueryExNoStats(Vertex s, Vertex t, Quality w,
                               Distance* out) const;
 
-  /// The tiling-invariant content fingerprint of the served labels —
-  /// identical to IndexContentFingerprint of the unsharded flat labels and
-  /// to a shard-set manifest's recorded fingerprint, however the range was
-  /// cut, and whichever backend each shard serves. One pass over every
-  /// shard's label bytes; only computed when the cache needs a snapshot
-  /// identity to bind to.
+  /// The tiling-invariant content fingerprint of the served labels (a
+  /// ContentCrcChain over the shards) — identical to
+  /// IndexContentFingerprint of the unsharded flat labels and to a
+  /// shard-set manifest's recorded fingerprint, however the range was cut
+  /// and however each shard is stored. One pass over every shard's label
+  /// bytes; only computed when the cache needs a snapshot identity to bind
+  /// to.
   uint64_t ContentFingerprint() const;
 
   std::shared_ptr<const WcIndex> index_;  // null for shard sets

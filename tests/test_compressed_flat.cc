@@ -1,8 +1,9 @@
 // Compressed flat backend tests: exact round trips through FromFlat /
 // Decompress, per-vertex streaming decode, the streaming merge kernel's
-// bit-identity to the flat kernels, validation tiers, the v3 snapshot
-// format (including its corruption corpus), compressed shard sets, and
-// the cold-tier decoded-label cache.
+// bit-identity to the flat kernels, validation tiers, the LabelSource seam
+// over flat and compressed twins, the v3 snapshot format (including its
+// corruption corpus), compressed shard sets, and the cold-tier
+// decoded-label cache.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "core/wc_index.h"
 #include "graph/generators.h"
 #include "labeling/compressed_flat.h"
+#include "labeling/label_source.h"
 #include "labeling/query.h"
 #include "labeling/shard_manifest.h"
 #include "labeling/shard_plan.h"
@@ -119,7 +121,7 @@ TEST(CompressedFlat, MeaningfulCompressionRatio) {
 TEST(CompressedFlat, FingerprintMatchesFlatBackend) {
   WcIndex index = BuildFinalizedIndex();
   const FlatLabelSet& flat = index.flat_labels();
-  CompressedFlatLabelSet compressed = CompressedFlatLabelSet::FromFlat(flat);
+  LabelSource compressed(CompressedFlatLabelSet::FromFlat(flat));
   EXPECT_EQ(compressed.ContentFingerprint(), IndexContentFingerprint(flat));
 }
 
@@ -197,6 +199,156 @@ TEST(CompressedFlat, EmptySet) {
             kInfDistance);
 }
 
+// ---- the LabelSource seam ----
+
+// Flat and v3 twins of one index, each opened as the snapshot loader hands
+// it out: the two sources must be indistinguishable through every accessor
+// callers use.
+TEST(LabelSource, FlatAndCompressedTwinsAgree) {
+  WcIndex index = BuildFinalizedIndex(140, 380, 43);
+  const FlatLabelSet& reference = index.flat_labels();
+  std::string flat_path = TempPath("ls_flat.wcsnap");
+  std::string comp_path = TempPath("ls_comp.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(flat_path).ok());
+  SnapshotWriteOptions compress;
+  compress.compress = true;
+  ASSERT_TRUE(index.SaveSnapshot(comp_path, compress).ok());
+  auto flat_snapshot = LoadSnapshotMmap(flat_path);
+  auto comp_snapshot = LoadSnapshotMmap(comp_path);
+  ASSERT_TRUE(flat_snapshot.ok() && comp_snapshot.ok());
+  const LabelSource& flat = flat_snapshot.value().labels;
+  const LabelSource& comp = comp_snapshot.value().labels;
+  EXPECT_FALSE(flat.compressed());
+  EXPECT_TRUE(comp.compressed());
+  EXPECT_TRUE(flat.flat().external());
+  EXPECT_TRUE(comp.packed().external());
+
+  // Totals and bytes.
+  ASSERT_EQ(flat.NumVertices(), reference.NumVertices());
+  ASSERT_EQ(comp.NumVertices(), reference.NumVertices());
+  EXPECT_EQ(flat.TotalEntries(), reference.TotalEntries());
+  EXPECT_EQ(comp.TotalEntries(), reference.TotalEntries());
+  EXPECT_EQ(flat.TotalGroups(), reference.raw_groups().size());
+  EXPECT_EQ(comp.TotalGroups(), reference.raw_groups().size());
+  EXPECT_EQ(flat.MemoryBytes(), reference.MemoryBytes());
+  EXPECT_EQ(flat.UncompressedBytes(), reference.MemoryBytes());
+  EXPECT_EQ(comp.UncompressedBytes(), reference.MemoryBytes());
+  EXPECT_LT(comp.MemoryBytes(), reference.MemoryBytes());
+
+  // Per-vertex views. A flat view points into the mapping and leaves its
+  // scratch untouched; the compressed one decodes into its scratch.
+  DecodedLabel flat_scratch, comp_scratch;
+  for (Vertex v = 0; v < reference.NumVertices(); ++v) {
+    FlatLabelView expected = reference.View(v);
+    FlatLabelView a = flat.View(v, &flat_scratch);
+    FlatLabelView b = comp.View(v, &comp_scratch);
+    ASSERT_TRUE(std::ranges::equal(a.entries, expected.entries)) << v;
+    ASSERT_TRUE(std::ranges::equal(a.groups, expected.groups)) << v;
+    ASSERT_TRUE(std::ranges::equal(b.entries, expected.entries)) << v;
+    ASSERT_TRUE(std::ranges::equal(b.groups, expected.groups)) << v;
+    ASSERT_TRUE(flat_scratch.entries.empty());
+    ASSERT_EQ(b.entries.data(), comp_scratch.entries.data());
+  }
+
+  // One fingerprint for both storages, equal to the flat set's.
+  const uint64_t fingerprint = IndexContentFingerprint(reference);
+  EXPECT_EQ(flat.ContentFingerprint(), fingerprint);
+  EXPECT_EQ(comp.ContentFingerprint(), fingerprint);
+
+  // Materialize round-trips both back to the flat set.
+  for (const LabelSource* source : {&flat, &comp}) {
+    auto materialized = source->Materialize();
+    ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+    EXPECT_EQ(materialized.value(), reference);
+  }
+
+  // The two-endpoint merge agrees with the flat kernel whichever storage
+  // each endpoint comes from (two compressed endpoints stream).
+  Rng rng(17);
+  DecodedLabel ls, lt;
+  for (int i = 0; i < 600; ++i) {
+    Vertex s = static_cast<Vertex>(rng.NextBounded(reference.NumVertices()));
+    Vertex t = static_cast<Vertex>(rng.NextBounded(reference.NumVertices()));
+    Quality w = static_cast<Quality>(rng.NextInRange(1, 6));
+    const Distance expected =
+        QueryFlatMerge(reference.View(s), reference.View(t), w);
+    ASSERT_EQ(QueryMerge(flat, s, flat, t, w, &ls, &lt), expected);
+    ASSERT_EQ(QueryMerge(comp, s, comp, t, w, &ls, &lt), expected);
+    ASSERT_EQ(QueryMerge(flat, s, comp, t, w, &ls, &lt), expected);
+    ASSERT_EQ(QueryMerge(comp, s, flat, t, w, &ls, &lt), expected);
+  }
+  std::remove(flat_path.c_str());
+  std::remove(comp_path.c_str());
+}
+
+// The CRC chain over a mixed tiling — a compressed shard then a flat one —
+// reproduces the unsharded fingerprint.
+TEST(LabelSource, ContentCrcChainIsTilingInvariant) {
+  WcIndex index = BuildFinalizedIndex(120, 300, 47);
+  const FlatLabelSet& flat = index.flat_labels();
+  const uint64_t n = flat.NumVertices();
+  std::string a = TempPath("ls_chain.shard0");
+  std::string b = TempPath("ls_chain.shard1");
+  SnapshotWriteOptions compress;
+  compress.compress = true;
+  ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, n / 3, n, {}, compress).ok());
+  ASSERT_TRUE(WriteSnapshotShard(b, flat, n / 3, n, n).ok());
+  auto first = LoadSnapshotMmap(a);
+  auto second = LoadSnapshotMmap(b);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ContentCrcChain chain(n);
+  ASSERT_TRUE(chain.Append(first.value().labels));
+  ASSERT_TRUE(chain.Append(second.value().labels));
+  EXPECT_EQ(chain.Fingerprint(), IndexContentFingerprint(flat));
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+// A vertex whose compressed stream is corrupt answers with an empty view
+// (an unreachable vertex) instead of stale scratch or an out-of-bounds
+// read; its neighbors still decode, and the whole-set operations refuse.
+TEST(LabelSource, CorruptCompressedVertexYieldsEmptyView) {
+  WcIndex index = BuildFinalizedIndex(60, 150, 13);
+  const FlatLabelSet& flat = index.flat_labels();
+  CompressedFlatLabelSet good = CompressedFlatLabelSet::FromFlat(flat);
+  std::vector<uint64_t> offsets(good.raw_offsets().begin(),
+                                good.raw_offsets().end());
+  std::vector<uint64_t> group_offsets(good.raw_group_offsets().begin(),
+                                      good.raw_group_offsets().end());
+  std::vector<uint64_t> comp_offsets(good.raw_comp_offsets().begin(),
+                                     good.raw_comp_offsets().end());
+  std::vector<Quality> dictionary(good.raw_dictionary().begin(),
+                                  good.raw_dictionary().end());
+  std::vector<uint8_t> blob(good.raw_blob().begin(), good.raw_blob().end());
+  // Vertex 7's stream becomes one unterminated varint.
+  constexpr Vertex kBad = 7;
+  ASSERT_LT(comp_offsets[kBad], comp_offsets[kBad + 1]);
+  std::fill(blob.begin() + static_cast<ptrdiff_t>(comp_offsets[kBad]),
+            blob.begin() + static_cast<ptrdiff_t>(comp_offsets[kBad + 1]),
+            uint8_t{0xFF});
+  LabelSource source(CompressedFlatLabelSet::FromExternal(
+      offsets, group_offsets, comp_offsets, blob, dictionary, nullptr));
+
+  DecodedLabel scratch;
+  ASSERT_FALSE(source.View(kBad - 1, &scratch).entries.empty());
+  FlatLabelView bad = source.View(kBad, &scratch);
+  EXPECT_TRUE(bad.entries.empty());
+  EXPECT_TRUE(bad.groups.empty());
+  FlatLabelView next = source.View(kBad + 1, &scratch);
+  EXPECT_TRUE(std::ranges::equal(next.entries, flat.View(kBad + 1).entries));
+
+  // A caller-supplied decoder that fails gets an empty view too, whatever
+  // it left in the scratch.
+  auto failing = [](const CompressedFlatLabelSet&, Vertex, DecodedLabel* out) {
+    out->entries.push_back(LabelEntry{0, 0, kInfQuality});
+    return false;
+  };
+  EXPECT_TRUE(source.View(0, &scratch, failing).entries.empty());
+
+  EXPECT_EQ(source.ContentFingerprint(), 0u);
+  EXPECT_FALSE(source.Materialize().ok());
+}
+
 // ---- v3 snapshot format ----
 
 TEST(CompressedFlat, CompressedSnapshotRoundTripsAndServesIdentically) {
@@ -225,8 +377,8 @@ TEST(CompressedFlat, CompressedSnapshotRoundTripsAndServesIdentically) {
   auto loaded = WcIndex::LoadMmap(comp_path, verify);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const WcIndex& mm = loaded.value();
-  EXPECT_TRUE(mm.compressed());
-  EXPECT_TRUE(mm.compressed_labels().external());
+  EXPECT_TRUE(mm.label_source().compressed());
+  EXPECT_TRUE(mm.label_source().packed().external());
   EXPECT_EQ(mm.NumVertices(), index.NumVertices());
   EXPECT_EQ(mm.TotalEntries(), index.TotalEntries());
   EXPECT_EQ(mm.ContentFingerprint(), index.ContentFingerprint());
@@ -270,7 +422,7 @@ TEST(CompressedFlat, DecompressionMigrationRoundTrips) {
 
   auto mm = WcIndex::LoadMmap(comp_path);
   ASSERT_TRUE(mm.ok());
-  ASSERT_TRUE(mm.value().compressed());
+  ASSERT_TRUE(mm.value().label_source().compressed());
   ASSERT_TRUE(mm.value().SaveSnapshot(back_path).ok());
   EXPECT_EQ(ReadFileBytes(back_path), ReadFileBytes(flat_path));
   std::remove(comp_path.c_str());
@@ -481,11 +633,17 @@ TEST(DecodedLabelCache, ColdPageinsCountExternalDecodes) {
   ASSERT_TRUE(index.SaveSnapshot(path, compress).ok());
   auto mm = WcIndex::LoadMmap(path);
   ASSERT_TRUE(mm.ok());
-  ASSERT_TRUE(mm.value().compressed_labels().external());
+  const LabelSource& source = mm.value().label_source();
+  ASSERT_TRUE(source.packed().external());
   DecodedLabelCache cache(4 << 20);
+  // The engine's route: the source hands its decodes to the cache.
+  auto through_cache = [&](const CompressedFlatLabelSet& set, Vertex v,
+                           DecodedLabel* out) {
+    return cache.GetOrDecode(set, v, v, out);
+  };
   DecodedLabel out;
-  ASSERT_TRUE(cache.GetOrDecode(mm.value().compressed_labels(), 3, 3, &out));
-  ASSERT_TRUE(cache.GetOrDecode(mm.value().compressed_labels(), 3, 3, &out));
+  EXPECT_FALSE(source.View(3, &out, through_cache).entries.empty());
+  EXPECT_FALSE(source.View(3, &out, through_cache).entries.empty());
   EXPECT_EQ(cache.stats().cold_pageins, 1u);  // miss paged in; hit did not
   std::remove(path.c_str());
 }

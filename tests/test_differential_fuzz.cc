@@ -165,7 +165,7 @@ Stack BuildStack(const QualityGraph& g, size_t build_threads,
                   .ok());
   auto cmm = WcIndex::LoadMmap(cfull);
   EXPECT_TRUE(cmm.ok()) << cmm.status().ToString();
-  EXPECT_TRUE(cmm.value().compressed());
+  EXPECT_TRUE(cmm.value().label_source().compressed());
 
   QueryEngineOptions serve;
   serve.num_threads = 1;  // concurrency is hammered in test_serve/test_net

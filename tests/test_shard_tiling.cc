@@ -359,8 +359,8 @@ TEST(ShardTiling, CrossShardCompressedMergeMatchesFlat) {
   size_t differing_pairs = 0;
   for (uint64_t i = 0; i < kShards; ++i) {
     for (uint64_t j = 0; j < kShards; ++j) {
-      const CompressedFlatLabelSet& ci = shards[i].compressed;
-      const CompressedFlatLabelSet& cj = shards[j].compressed;
+      const CompressedFlatLabelSet& ci = shards[i].labels.packed();
+      const CompressedFlatLabelSet& cj = shards[j].labels.packed();
       const auto di = ci.raw_dictionary();
       const auto dj = cj.raw_dictionary();
       if (i == j || std::equal(di.begin(), di.end(), dj.begin(), dj.end())) {

@@ -50,7 +50,7 @@ TEST(Snapshot, MmapRoundTripIsBitIdentical) {
 
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
-  verify.deep_validate = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
   auto loaded = WcIndex::LoadMmap(path, verify);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const WcIndex& mm = loaded.value();
@@ -131,7 +131,7 @@ TEST(Snapshot, LabelOnlySnapshotLoadsButNotAsWcIndex) {
   auto snapshot = LoadSnapshotMmap(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   EXPECT_FALSE(snapshot.value().info.has_order);
-  EXPECT_EQ(snapshot.value().labels, index.flat_labels());
+  EXPECT_EQ(snapshot.value().labels.flat(), index.flat_labels());
 
   auto as_index = WcIndex::LoadMmap(path);
   EXPECT_FALSE(as_index.ok());
@@ -358,7 +358,7 @@ TEST(Snapshot, ShardFilesSliceTheIndex) {
       WriteSnapshotShard(path, index.flat_labels(), 40, 110, n).ok());
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
-  verify.deep_validate = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
   auto shard = LoadSnapshotMmap(path, verify);
   ASSERT_TRUE(shard.ok()) << shard.status().ToString();
   EXPECT_EQ(shard.value().info.vertex_begin, 40u);
@@ -368,7 +368,7 @@ TEST(Snapshot, ShardFilesSliceTheIndex) {
   EXPECT_EQ(shard.value().labels.NumVertices(), 70u);
   for (Vertex v = 40; v < 110; ++v) {
     auto expected = index.flat_labels().For(v);
-    auto got = shard.value().labels.For(v - 40);
+    auto got = shard.value().labels.flat().For(v - 40);
     ASSERT_TRUE(std::equal(expected.begin(), expected.end(), got.begin(),
                            got.end()))
         << "vertex " << v;
@@ -416,7 +416,7 @@ TEST(Snapshot, ParentsRoundTripThroughSnapshot) {
 
   SnapshotLoadOptions verify;
   verify.verify_checksums = true;
-  verify.deep_validate = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
   auto loaded = WcIndex::LoadMmap(path, verify);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const WcIndex& mm = loaded.value();

@@ -14,7 +14,8 @@
 #   net       TCP serving: query families over a live socket, graph-less
 #             server refuses kPath cleanly
 #   reactors  SO_REUSEPORT per-core serving answers match
-#   live      delta + offline update + SIGHUP hot reload, crash-safe update
+#   live      delta + offline update + SIGHUP hot reload, crash-safe update,
+#             and a compressed base updating exactly like its flat twin
 #   manifest  planned shard set served over TCP, SIGTERM graceful drain
 #   degraded  corrupt shard: strict open refuses, --quarantine serves the rest
 #   coldtier  memory-capped cold-tier proof: under a ulimit -v cap the flat
@@ -50,6 +51,9 @@ banner() { printf '\n=== ci_smoke: %s ===\n' "$1"; }
 # Pulls the answer CRC out of a `serve` batch report; the same --seed over
 # the same snapshot contents must produce the same CRC on every backend.
 crc_of() { sed -n 's/.*answers crc32c=\([0-9a-f]*\).*/\1/p'; }
+
+# Pulls the recorded base fingerprint out of a `delta` report.
+fingerprint_of() { sed -n 's/.*base fingerprint \([0-9a-f]*\).*/\1/p'; }
 
 # Base fixtures shared by every section: a small road graph, its index,
 # flat + compressed snapshots, an even 3-shard split, and a planned
@@ -213,6 +217,21 @@ section_live() {
     echo "update unexpectedly accepted a mismatched base fingerprint"
     exit 1
   fi
+  # A compressed (v3) base updates exactly like its flat twin: the delta
+  # records the same base fingerprint, and the update succeeds, stays
+  # compressed, and serves the flat update's answers.
+  flat_fp=$("$CLI" delta --out=ci_f.delta --base-snapshot=ci.wcsnap --add=1,42,5 | fingerprint_of)
+  comp_fp=$("$CLI" delta --out=ci_c.delta --base-snapshot=ci_c.wcsnap --add=1,42,5 | fingerprint_of)
+  echo "base fingerprints: flat $flat_fp, compressed $comp_fp"
+  test -n "$flat_fp"
+  test "$flat_fp" = "$comp_fp"
+  "$CLI" update --snapshot=ci.wcsnap --graph=ci.edges --delta=ci_f.delta --out=ci_fu.wcsnap
+  "$CLI" update --snapshot=ci_c.wcsnap --graph=ci.edges --delta=ci_c.delta --out=ci_cu.wcsnap
+  fu_crc=$("$CLI" serve --snapshot=ci_fu.wcsnap --queries=20000 --seed=11 --verify | tee /dev/stderr | crc_of)
+  cu_out=$("$CLI" serve --snapshot=ci_cu.wcsnap --queries=20000 --seed=11 --verify | tee /dev/stderr)
+  test -n "$fu_crc"
+  test "$fu_crc" = "$(printf '%s\n' "$cu_out" | crc_of)"
+  printf '%s\n' "$cu_out" | grep -q "^compressed labels"
 }
 
 section_manifest() {
@@ -264,14 +283,17 @@ section_coldtier() {
     | tee /dev/stderr | crc_of)
   test -n "$flat_crc"
   # The flat snapshot must not fit under the cap: the working set IS the cap's
-  # point. (ulimit applies inside the subshell only.)
-  if (ulimit -v "$CAP_KB" && "$CLI" serve --snapshot=mem.wcsnap --queries=100 --seed=7); then
+  # point. (ulimit applies inside the subshell only.) RLIMIT_AS also counts
+  # each thread's stack reservation, 8 MiB by default, so at the default
+  # --threads on a multi-core host the serve's worker threads alone would
+  # exhaust the cap; 1 MiB stacks keep it a cap on label memory.
+  if (ulimit -s 1024 && ulimit -v "$CAP_KB" && "$CLI" serve --snapshot=mem.wcsnap --queries=100 --seed=7); then
     echo "flat serving unexpectedly fit under the ${CAP_KB} kB cap"
     exit 1
   fi
   # Cold-tier serving under the same cap answers the full workload,
   # --verify clean, with the exact flat-backend CRC.
-  cold_out=$( (ulimit -v "$CAP_KB" && "$CLI" serve --snapshot=mem_c.wcsnap \
+  cold_out=$( (ulimit -s 1024 && ulimit -v "$CAP_KB" && "$CLI" serve --snapshot=mem_c.wcsnap \
     --cold-tier --decode-cache-mb=8 --queries=20000 --seed=7 --verify) | tee /dev/stderr )
   cold_crc=$(printf '%s\n' "$cold_out" | crc_of)
   test "$flat_crc" = "$cold_crc"

@@ -68,7 +68,8 @@
 //             repair the labels in place (Akiba-style resumed constrained
 //             BFS, core/dynamic_wc_index.h); any delete falls back to one
 //             rebuild. Emits a new snapshot (atomic write; --out may equal
-//             --snapshot) with a new content fingerprint, and --out-graph
+//             --snapshot; a compressed input stays compressed) with a new
+//             content fingerprint, and --out-graph
 //             writes the updated edge list so graph and snapshot stay
 //             paired for the next update
 //   serve     --snapshot=<file>[,<file>,...] | --manifest=<file>
@@ -878,7 +879,7 @@ int CmdDelta(const Flags& flags) {
                    mapped.status().ToString().c_str());
       return 1;
     }
-    log.base_fingerprint = IndexContentFingerprint(mapped.value().labels);
+    log.base_fingerprint = mapped.value().labels.ContentFingerprint();
   }
   DeltaBatch batch;
   if (!AppendDeltaRecords(flags.GetString("add", ""), DeltaOp::kInsert, 3, 3,
@@ -933,7 +934,7 @@ int CmdUpdate(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", log.status().ToString().c_str());
     return 1;
   }
-  const uint64_t old_fingerprint = IndexContentFingerprint(mm.labels);
+  const uint64_t old_fingerprint = mm.labels.ContentFingerprint();
   if (log.value().base_fingerprint != 0 &&
       log.value().base_fingerprint != old_fingerprint) {
     std::fprintf(stderr,
@@ -976,9 +977,15 @@ int CmdUpdate(const Flags& flags) {
   }
   options.num_threads = static_cast<size_t>(threads);
 
+  auto flat = mm.labels.Materialize();
+  if (!flat.ok()) {
+    std::fprintf(stderr, "error: %s\n", flat.status().ToString().c_str());
+    return 1;
+  }
+
   Timer timer;
   DynamicWcIndex dyn(graph.value(), VertexOrder(mm.order_by_rank),
-                     mm.labels.ToLabelSet(), options);
+                     flat.value().ToLabelSet(), options);
   const bool incremental = dyn.Apply(log.value());
   std::string out_graph = flags.GetString("out-graph", "");
   if (!out_graph.empty()) {
@@ -990,9 +997,10 @@ int CmdUpdate(const Flags& flags) {
   }
   WcIndex updated = dyn.ReleaseIndex();
   updated.Finalize();
-  const uint64_t new_fingerprint =
-      IndexContentFingerprint(updated.flat_labels());
-  Status st = updated.SaveSnapshot(out);
+  const uint64_t new_fingerprint = updated.ContentFingerprint();
+  SnapshotWriteOptions write;
+  write.compress = mm.info.compressed;  // the input's storage carries over
+  Status st = updated.SaveSnapshot(out, write);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
@@ -1210,7 +1218,7 @@ int CmdServe(const Flags& flags) {
     return 1;
   }
   SnapshotLoadOptions load;
-  load.verify_checksums = load.deep_validate = flags.GetBool("verify", false);
+  load.verify_checksums = flags.GetBool("verify", false);
   std::string verify_level = flags.GetString("verify-level", "offsets");
   if (verify_level == "directory") {
     load.verify_level = SnapshotVerifyLevel::kDirectory;
@@ -1221,6 +1229,8 @@ int CmdServe(const Flags& flags) {
                  verify_level.c_str());
     return 1;
   }
+  // --verify implies the deepest tier, whatever --verify-level says.
+  if (load.verify_checksums) load.verify_level = SnapshotVerifyLevel::kDeep;
 
   DegradedOpenOptions degraded;
   degraded.quarantine_failed_shards = flags.GetBool("quarantine", false);
