@@ -24,10 +24,11 @@ std::vector<Distance> BatchQuery(const WcIndex& index,
     run(0, queries.size(), 0);
     return results;
   }
-  // ~4 chunks per worker so stragglers rebalance. Long-lived servers should
-  // hold a QueryEngine (serve/query_engine.h) and amortize its pool across
-  // batches.
-  ThreadPool pool(threads);
+  // ~4 chunks per thread so stragglers rebalance. RunChunked computes on
+  // the calling thread too, so `threads` counts it and the pool holds the
+  // rest. Long-lived servers should hold a QueryEngine
+  // (serve/query_engine.h) and amortize its pool across batches.
+  ThreadPool pool(threads - 1);
   const size_t target = threads * 4;
   RunChunked(&pool, queries.size(),
              std::max(kMinChunk, (queries.size() + target - 1) / target), run);

@@ -81,9 +81,12 @@ struct alignas(64) ServeWorkerSlot {
 };
 
 /// The stats state an engine heap-holds (atomics are unmovable; the engine
-/// stays movable by owning this through a unique_ptr).
+/// stays movable by owning this through a unique_ptr). One slot per pool
+/// worker plus slot `num_workers` for the threads that submit batches:
+/// RunChunked runs the caller's own chunks under that index, and every
+/// concurrent caller shares it, which relaxed atomics make safe.
 struct ServeStatsBlock {
-  explicit ServeStatsBlock(size_t num_workers) : slots(num_workers) {}
+  explicit ServeStatsBlock(size_t num_workers) : slots(num_workers + 1) {}
 
   /// Records one direct (non-batch) query.
   void RecordSingle(Distance d) {

@@ -58,8 +58,10 @@ namespace wcsd {
 class QualityGraph;
 
 struct QueryEngineOptions {
-  /// Worker threads for batch evaluation. 0 = hardware concurrency;
-  /// 1 = no pool, batches run on the calling thread.
+  /// Pool worker threads for batch evaluation. 0 = hardware concurrency;
+  /// 1 = no pool, batches run on the calling thread. With a pool the
+  /// calling thread drains chunks of its own batch too, so one batch
+  /// computes on up to num_threads + 1 threads.
   size_t num_threads = 0;
   /// Smallest batch slice handed to one worker; bounds scheduling overhead
   /// on small batches.

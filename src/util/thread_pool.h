@@ -1,34 +1,43 @@
-// Minimal fixed-size thread pool for the parallel construction pipeline.
+// Fixed-size thread pool shared by the parallel construction pipeline and
+// the batch fan-out.
 //
 // The WC-INDEX build dispatches one task per root within a rank batch and
-// barriers between batches; a persistent pool avoids paying thread spawn
-// cost per batch (batches can be as small as the thread count). Tasks
-// receive the index of the worker executing them, so callers can hand each
-// worker its own scratch state (BuildWorkspace) without synchronization.
+// barriers between batches (Submit + Wait); a persistent pool avoids paying
+// thread spawn cost per batch (batches can be as small as the thread
+// count). Tasks receive the index of the worker executing them, so callers
+// can hand each worker its own scratch state (BuildWorkspace) without
+// synchronization.
 //
 // RunChunked is the fan-out the serving engine and BatchQuery use.
 // ThreadPool::Wait waits for GLOBAL quiescence, which is wrong for a
 // serving engine: two user threads batching against the same engine would
-// each block on the other's work. RunChunked instead counts down its own
-// chunks on the caller's stack, so concurrent batches share the pool's
-// workers but complete independently.
+// each block on the other's work. RunChunked instead keeps its own claim
+// counter, and the submitting thread drains its own batch: it claims
+// chunks alongside the pool's helpers and only waits for chunks a helper
+// has already claimed. A batch therefore computes on up to size() + 1
+// threads, concurrent batches share the pool's workers but complete
+// independently, and a batch finishes even while every worker is busy
+// elsewhere.
 
 #ifndef WCSD_UTIL_THREAD_POOL_H_
 #define WCSD_UTIL_THREAD_POOL_H_
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace wcsd {
 
-/// Fixed pool of worker threads executing submitted tasks FIFO. Submit and
-/// Wait are intended to be called from one controller thread.
+/// Fixed pool of worker threads executing submitted tasks FIFO. Submit is
+/// safe from any thread; Wait waits for every task of every submitter, so
+/// it suits a single controller thread (the build pipeline).
 class ThreadPool {
  public:
   /// A unit of work; receives the executing worker's index in
@@ -102,9 +111,13 @@ class ThreadPool {
 };
 
 /// Applies `fn(begin, end, worker)` to consecutive chunks of [0, n) and
-/// blocks until every chunk has run. With a null pool or a single chunk the
-/// call is inline (worker 0). Safe to call from multiple threads on one
-/// pool concurrently.
+/// blocks until every chunk has run. The calling thread runs chunks itself
+/// under worker index `pool->size()`; pool workers pass their own index in
+/// [0, pool->size()). Concurrent callers share the caller's index, so fn
+/// may use the worker index only for state it updates with relaxed atomics,
+/// never as exclusive scratch. With a null pool or a single chunk the call
+/// is inline (worker 0). Safe to call from multiple threads on one pool
+/// concurrently.
 inline void RunChunked(
     ThreadPool* pool, size_t n, size_t chunk,
     const std::function<void(size_t begin, size_t end, size_t worker)>& fn) {
@@ -115,20 +128,45 @@ inline void RunChunked(
     fn(0, n, 0);
     return;
   }
-  std::mutex mu;
-  std::condition_variable done;
-  size_t remaining = num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    pool->Submit([&, begin, end](size_t worker) {
-      fn(begin, end, worker);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_all();
-    });
+  // Helpers hold the claim state by shared_ptr: one dequeued after the
+  // caller returned claims an index past the end and never touches `fn`,
+  // which lives on the caller's stack.
+  struct Claims {
+    const std::function<void(size_t, size_t, size_t)>* fn = nullptr;
+    size_t n = 0, chunk = 0, num_chunks = 0;
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> finished{0};
+    std::mutex mu;
+    bool all_done = false;  // guarded by mu
+    std::condition_variable done;
+
+    // Runs chunks until none is left to claim.
+    void Drain(size_t worker) {
+      for (size_t c = next.fetch_add(1, std::memory_order_relaxed);
+           c < num_chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
+        const size_t begin = c * chunk;
+        (*fn)(begin, std::min(n, begin + chunk), worker);
+        if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            num_chunks) {
+          std::lock_guard<std::mutex> lock(mu);
+          all_done = true;
+          done.notify_one();
+        }
+      }
+    }
+  };
+  auto claims = std::make_shared<Claims>();
+  claims->fn = &fn;
+  claims->n = n;
+  claims->chunk = chunk;
+  claims->num_chunks = num_chunks;
+  const size_t helpers = std::min(pool->size(), num_chunks - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    pool->Submit([claims](size_t worker) { claims->Drain(worker); });
   }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining == 0; });
+  claims->Drain(pool->size());
+  std::unique_lock<std::mutex> lock(claims->mu);
+  claims->done.wait(lock, [&] { return claims->all_done; });
 }
 
 }  // namespace wcsd

@@ -1,15 +1,23 @@
 // Batch/ranking API tests: thread-count invariance, positional alignment,
-// top-k semantics, and quality-profile monotonicity.
+// top-k semantics, quality-profile monotonicity, and the RunChunked
+// fan-out underneath every batch.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "core/batch.h"
 #include "core/wc_index.h"
 #include "graph/generators.h"
 #include "paper_fixtures.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace wcsd {
 namespace {
@@ -51,6 +59,93 @@ TEST(BatchQueryTest, ThreadCountDoesNotChangeResults) {
     EXPECT_EQ(BatchQuery(index, batch, threads), sequential)
         << threads << " threads";
   }
+}
+
+TEST(RunChunkedTest, EveryIndexRunsExactlyOnce) {
+  struct Shape {
+    size_t n, chunk;
+  };
+  // n < chunk (one chunk, inline), exact multiples, ragged tails.
+  const Shape shapes[] = {{5, 8},   {1, 1},    {64, 16}, {64, 1},
+                          {100, 16}, {129, 64}, {37, 5}};
+  for (size_t workers = 1; workers <= 4; ++workers) {
+    ThreadPool pool(workers);
+    for (const Shape& shape : shapes) {
+      std::vector<std::atomic<int>> runs(shape.n);
+      std::atomic<bool> bad_range{false};
+      RunChunked(&pool, shape.n, shape.chunk,
+                 [&](size_t begin, size_t end, size_t worker) {
+                   if (begin >= end || end > shape.n ||
+                       end - begin > shape.chunk || worker > pool.size()) {
+                     bad_range = true;
+                   }
+                   for (size_t i = begin; i < end; ++i) ++runs[i];
+                 });
+      EXPECT_FALSE(bad_range) << workers << " workers, n=" << shape.n;
+      for (size_t i = 0; i < shape.n; ++i) {
+        ASSERT_EQ(runs[i].load(), 1)
+            << workers << " workers, n=" << shape.n
+            << " chunk=" << shape.chunk << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(RunChunkedTest, ConcurrentCallersGetTheirOwnSums) {
+  ThreadPool pool(2);
+  constexpr size_t kCallers = 4;
+  constexpr size_t kRounds = 50;
+  std::vector<bool> ok(kCallers, true);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        const size_t n = 500 + 37 * c + round;
+        std::atomic<uint64_t> sum{0};
+        RunChunked(&pool, n, 16, [&](size_t begin, size_t end, size_t) {
+          uint64_t local = 0;
+          for (size_t i = begin; i < end; ++i) local += i;
+          sum.fetch_add(local, std::memory_order_relaxed);
+        });
+        if (sum.load() != uint64_t{n} * (n - 1) / 2) ok[c] = false;
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (size_t c = 0; c < kCallers; ++c) EXPECT_TRUE(ok[c]) << "caller " << c;
+}
+
+// The caller drains its own batch: with the pool's only worker held by an
+// unrelated task, RunChunked still completes, every chunk on the caller.
+TEST(RunChunkedTest, CallerDrainsWhileEveryWorkerIsBusy) {
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool release = false;
+  pool.Submit([&](size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return held; });
+  }
+  std::vector<size_t> chunk_workers;
+  const auto start = std::chrono::steady_clock::now();
+  RunChunked(&pool, 8 * 16, 16, [&](size_t, size_t, size_t worker) {
+    chunk_workers.push_back(worker);  // only the caller can get here
+  });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
+  EXPECT_EQ(chunk_workers, std::vector<size_t>(8, pool.size()));
 }
 
 TEST(BatchQueryTest, EmptyBatch) {

@@ -115,6 +115,29 @@ TEST(QueryEngine, StatsCountServedQueries) {
   EXPECT_GT(stats.reachable, 0u);
 }
 
+// Batches run partly on the submitting thread, under the stats block's
+// extra caller slot: the totals must still count every served answer.
+TEST(QueryEngine, StatsCountCallerDrainedChunks) {
+  ServeFixture f = MakeFixture(90, 240, 500, 37);
+  QueryEngineOptions options;
+  options.num_threads = 2;
+  options.min_chunk = 8;
+  QueryEngine engine(f.index, options);
+  uint64_t served = 0;
+  uint64_t reachable = 0;
+  std::vector<Distance> out;
+  for (size_t k = 0; k < 6; ++k) {
+    ASSERT_EQ(engine.BatchEx(f.workload, &out), ServeOutcome::kOk);
+    ASSERT_EQ(out, f.expected);
+    served += out.size();
+    for (Distance d : out) reachable += d != kInfDistance;
+  }
+  QueryEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.queries, served);
+  EXPECT_EQ(stats.reachable, reachable);
+  EXPECT_EQ(stats.batches, 6u);
+}
+
 // The TSan target: one engine, many caller threads, overlapping batches
 // and single queries, all against precomputed expected answers.
 TEST(QueryEngine, ConcurrentHammer) {
