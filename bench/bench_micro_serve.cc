@@ -45,7 +45,6 @@ constexpr int kBenchShards = 4;
 // Two sizes of the same social family; "size:1" has ~4x the label entries
 // of "size:0". Files are written once into /tmp and reused.
 struct ServeFixture {
-  std::string wcx_path;
   std::string snap_path;
   std::string csnap_path;  // same labels, v3 compressed sections
   std::vector<std::string> shard_paths;  // even vertex-range shards
@@ -69,13 +68,11 @@ const ServeFixture& FixtureForSize(int size) {
       f.num_vertices = index.NumVertices();
       f.total_entries = index.TotalEntries();
       std::string stem = "/tmp/bench_serve_" + std::to_string(i);
-      f.wcx_path = stem + ".wcx";
       f.snap_path = stem + ".wcsnap";
       f.csnap_path = stem + "_c.wcsnap";
       SnapshotWriteOptions compress_options;
       compress_options.compress = true;
-      if (!index.Save(f.wcx_path).ok() ||
-          !index.SaveSnapshot(f.snap_path).ok() ||
+      if (!index.SaveSnapshot(f.snap_path).ok() ||
           !index.SaveSnapshot(f.csnap_path, compress_options).ok()) {
         std::fprintf(stderr, "bench fixture write failed\n");
         std::abort();
@@ -130,22 +127,8 @@ const std::vector<BatchQueryInput>& ServeWorkload() {
   return workload;
 }
 
-// Full deserializing load: scales with label count.
-void BM_LoadFull(benchmark::State& state) {
-  const ServeFixture& f = FixtureForSize(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto loaded = WcIndex::Load(f.wcx_path);
-    if (!loaded.ok()) state.SkipWithError("load failed");
-    benchmark::DoNotOptimize(loaded.value().TotalEntries());
-  }
-  state.counters["entries"] = static_cast<double>(f.total_entries);
-  SetBackend(state, "vector");
-}
-BENCHMARK(BM_LoadFull)->Arg(0)->Arg(1)->ArgNames({"size"})
-    ->Unit(benchmark::kMicrosecond);
-
 // Zero-copy mmap load: header + O(vertices) validation only. Comparing
-// size:0 to size:1 against BM_LoadFull shows the label-count independence.
+// size:0 to size:1 shows the label-count independence.
 void BM_LoadMmap(benchmark::State& state) {
   const ServeFixture& f = FixtureForSize(static_cast<int>(state.range(0)));
   for (auto _ : state) {

@@ -224,11 +224,6 @@ class WcIndex {
     return finalized_ ? source_.TotalEntries() : labels_.TotalEntries();
   }
 
-  /// Serialization of the append-oriented labels (little-endian,
-  /// fixed-width fields; requires a full deserialization pass on Load).
-  Status Save(const std::string& path) const;
-  static Result<WcIndex> Load(const std::string& path);
-
   /// Writes the finalized labels plus the vertex order as a page-aligned,
   /// checksummed snapshot (labeling/snapshot.h). Requires finalized().
   /// Parent quads, when present, are flattened and written as the v2
@@ -244,7 +239,8 @@ class WcIndex {
   /// out of the mapping: no per-entry deserialization, load time
   /// independent of label count. The result is finalized; its
   /// append-oriented labels() are empty, so dynamic updates and
-  /// construction-side reuse need Load instead. Only full-range snapshots
+  /// construction-side reuse adopt label_source().Materialize() through
+  /// DynamicWcIndex instead. Only full-range snapshots
   /// with an order section qualify — shard files go through
   /// QueryEngine::OpenMmap. A v3 compressed snapshot loads as a compressed
   /// label source: label bytes stay on disk and page in on first decode.

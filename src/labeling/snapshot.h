@@ -1,10 +1,10 @@
 // Versioned, checksummed, mmap'able index snapshots.
 //
-// The serving-side counterpart of FlatLabelSet::Save: instead of
-// length-prefixed streams that force a full deserialization pass, a
-// snapshot lays the four CSR label arrays (and optionally the vertex order)
-// out page-aligned behind a fixed-width header, so a server can mmap the
-// file and answer queries directly out of the mapping. Loading costs
+// The one on-disk form of an index. Instead of length-prefixed streams
+// that force a full deserialization pass, a snapshot lays the four CSR
+// label arrays (and optionally the vertex order) out page-aligned behind a
+// fixed-width header, so a server can mmap the file and answer queries
+// directly out of the mapping. Loading costs
 // O(vertices) for offset validation and the order inversion — independent
 // of the label count, which dominates file size — and label pages are
 // faulted in lazily by the kernel and shared across processes.

@@ -106,9 +106,7 @@ void QueryEngine::Start(std::optional<uint64_t> known_fingerprint) {
   }
   if (options_.shared_cache || options_.cache_bytes > 0) {
     cache_fingerprint_ = known_fingerprint.has_value() ? *known_fingerprint
-                         : options_.known_fingerprint != 0
-                             ? options_.known_fingerprint
-                             : ContentFingerprint();
+                                                       : ContentFingerprint();
     cache_ = options_.shared_cache
                  ? options_.shared_cache
                  : std::make_shared<ResultCache>(options_.cache_bytes);

@@ -72,7 +72,8 @@ struct QueryEngineOptions {
   /// answers stay bit-identical — and the engine computes the index content
   /// fingerprint at construction to bind the cache to the snapshot's
   /// identity (one full pass over the label bytes, which faults an mmap'd
-  /// snapshot in; only paid when caching and no fingerprint is known).
+  /// snapshot in; only paid when caching, and skipped for a manifest, which
+  /// records the fingerprint).
   size_t cache_bytes = 0;
   /// Externally owned cache shared across engine generations (the hot-swap
   /// serve path). When set the engine uses it instead of creating its own;
@@ -84,12 +85,6 @@ struct QueryEngineOptions {
   /// cache is still bound to a different snapshot. cache_bytes is ignored
   /// when set.
   std::shared_ptr<ResultCache> shared_cache;
-  /// Pre-computed content fingerprint of the index this engine will serve.
-  /// When nonzero and caching is on, the construction-time label pass is
-  /// skipped and this value is used verbatim — the swap path computes it
-  /// once for InvalidateDelta and must not pay it twice. The caller owns
-  /// its correctness; a wrong value breaks cache binding.
-  uint64_t known_fingerprint = 0;
   /// Swap-coordinator hook: called with the engine's computed cache
   /// fingerprint after the cache is attached but BEFORE the engine's
   /// unconditional Rebind, while no queries flow through this engine yet.

@@ -34,17 +34,19 @@ inline size_t FloorPow2(size_t x) {
 }  // namespace
 
 /// RAII seqlock write section: entry flips the slot version odd, exit flips
-/// it back even. All field stores between the two must be relaxed atomics —
-/// the release fence on entry orders the odd-version store before them, and
-/// the release store on exit orders them before the even version any reader
-/// validates against. Callers hold the shard mutex, so write sections never
-/// nest or overlap on one slot.
+/// it back even. All field stores between the two must be release stores:
+/// each orders the odd-version store before itself, so a reader whose
+/// acquire load sees the new field value also sees the odd version on its
+/// re-check. The release store on exit orders the field stores before the
+/// even version any reader validates against. No fences: ThreadSanitizer
+/// models these per-access orders, so the torn-read tests check them (on
+/// x86 they compile to the same plain moves). Callers hold the shard mutex,
+/// so write sections never nest or overlap on one slot.
 class SlotWriteSection {
  public:
   explicit SlotWriteSection(ResultCache::Slot& slot) : slot_(slot) {
     const uint32_t v = slot_.version.load(std::memory_order_relaxed);
     slot_.version.store(v + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
   }
   ~SlotWriteSection() {
     const uint32_t v = slot_.version.load(std::memory_order_relaxed);
@@ -91,6 +93,11 @@ size_t ResultCache::InvalidateDelta(uint64_t new_fingerprint,
                                     const CoupledFn& coupled) {
   std::lock_guard<std::mutex> lock(fingerprint_mu_);
   fingerprint_.store(new_fingerprint, std::memory_order_release);
+  // The per-impact coupling test is sound for a one-record delta only: a
+  // new path may chain several changed edges, none of which the pair
+  // reaches from both sides in the old index. With more records the
+  // quality window alone decides.
+  const bool use_coupled = coupled && impacts.size() == 1;
   size_t dropped = 0;
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& shard = shards_[i];
@@ -113,7 +120,7 @@ size_t ResultCache::InvalidateDelta(uint64_t new_fingerprint,
         for (const DeltaImpact& impact : impacts) {
           if (iv.w_hi < impact.q_lo || impact.q_hi < iv.w_lo) continue;
           const Quality w_test = std::max(iv.w_lo, impact.q_lo);
-          if (!coupled || coupled(s, t, impact, w_test)) {
+          if (!use_coupled || coupled(s, t, impact, w_test)) {
             touched = true;
             break;
           }
@@ -126,18 +133,18 @@ size_t ResultCache::InvalidateDelta(uint64_t new_fingerprint,
       }
       SlotWriteSection write(slot);
       for (uint32_t j = 0; j < num_kept; ++j) {
-        slot.iv[j].w_lo.store(kept[j].w_lo, std::memory_order_relaxed);
-        slot.iv[j].w_hi.store(kept[j].w_hi, std::memory_order_relaxed);
-        slot.iv[j].dist.store(kept[j].dist, std::memory_order_relaxed);
+        slot.iv[j].w_lo.store(kept[j].w_lo, std::memory_order_release);
+        slot.iv[j].w_hi.store(kept[j].w_hi, std::memory_order_release);
+        slot.iv[j].dist.store(kept[j].dist, std::memory_order_release);
       }
-      slot.count.store(num_kept, std::memory_order_relaxed);
+      slot.count.store(num_kept, std::memory_order_release);
       slot.clock = 0;
       if (num_kept == 0) {
-        slot.key.store(kEmptyKey, std::memory_order_relaxed);
+        slot.key.store(kEmptyKey, std::memory_order_release);
       } else {
         // Survivors are certified for the new index by the delta soundness
         // argument: re-stamp them so LookupBound(new_fingerprint) hits.
-        slot.fingerprint.store(new_fingerprint, std::memory_order_relaxed);
+        slot.fingerprint.store(new_fingerprint, std::memory_order_release);
       }
     }
   }
@@ -155,8 +162,8 @@ void ResultCache::Clear() {
     for (size_t si = 0; si < slots_per_shard_; ++si) {
       Slot& slot = shard.slots[si];
       SlotWriteSection write(slot);
-      slot.key.store(kEmptyKey, std::memory_order_relaxed);
-      slot.count.store(0, std::memory_order_relaxed);
+      slot.key.store(kEmptyKey, std::memory_order_release);
+      slot.count.store(0, std::memory_order_release);
       slot.clock = 0;
     }
     shard.clock = 0;
@@ -168,19 +175,19 @@ bool ResultCache::ReadSlot(const Slot& slot, SlotSnapshot* out) {
   for (int attempt = 0; attempt < kSeqlockRetries; ++attempt) {
     const uint32_t v1 = slot.version.load(std::memory_order_acquire);
     if (v1 & 1u) continue;  // writer mid-update; retry
-    out->key = slot.key.load(std::memory_order_relaxed);
-    out->fingerprint = slot.fingerprint.load(std::memory_order_relaxed);
-    uint32_t count = slot.count.load(std::memory_order_relaxed);
+    // Acquire field loads pair with the write section's release stores and
+    // keep the version re-check below after them: if the version is still
+    // v1, no write section overlapped the reads.
+    out->key = slot.key.load(std::memory_order_acquire);
+    out->fingerprint = slot.fingerprint.load(std::memory_order_acquire);
+    uint32_t count = slot.count.load(std::memory_order_acquire);
     count = std::min<uint32_t>(count, kIntervalsPerSlot);
     out->count = count;
     for (uint32_t i = 0; i < count; ++i) {
-      out->iv[i].w_lo = slot.iv[i].w_lo.load(std::memory_order_relaxed);
-      out->iv[i].w_hi = slot.iv[i].w_hi.load(std::memory_order_relaxed);
-      out->iv[i].dist = slot.iv[i].dist.load(std::memory_order_relaxed);
+      out->iv[i].w_lo = slot.iv[i].w_lo.load(std::memory_order_acquire);
+      out->iv[i].w_hi = slot.iv[i].w_hi.load(std::memory_order_acquire);
+      out->iv[i].dist = slot.iv[i].dist.load(std::memory_order_acquire);
     }
-    // Orders the field loads above before the version re-check: if the
-    // version is still v1, no write section overlapped the reads.
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.version.load(std::memory_order_relaxed) == v1) return true;
   }
   return false;  // persistent writer contention; caller treats as a miss
@@ -311,23 +318,23 @@ void ResultCache::InsertImpl(Vertex s, Vertex t,
 
   SlotWriteSection write(*target);
   if (fresh) {
-    target->key.store(key, std::memory_order_relaxed);
-    target->fingerprint.store(stamp, std::memory_order_relaxed);
-    target->count.store(0, std::memory_order_relaxed);
+    target->key.store(key, std::memory_order_release);
+    target->fingerprint.store(stamp, std::memory_order_release);
+    target->count.store(0, std::memory_order_release);
     target->clock = 0;
   }
   const uint32_t count = target->count.load(std::memory_order_relaxed);
   uint32_t at;
   if (count < kIntervalsPerSlot) {
     at = count;
-    target->count.store(count + 1, std::memory_order_relaxed);
+    target->count.store(count + 1, std::memory_order_release);
   } else {
     at = target->clock++ % kIntervalsPerSlot;
     ++shard.evictions;
   }
-  target->iv[at].w_lo.store(result.w_lo, std::memory_order_relaxed);
-  target->iv[at].w_hi.store(result.w_hi, std::memory_order_relaxed);
-  target->iv[at].dist.store(result.dist, std::memory_order_relaxed);
+  target->iv[at].w_lo.store(result.w_lo, std::memory_order_release);
+  target->iv[at].w_hi.store(result.w_hi, std::memory_order_release);
+  target->iv[at].dist.store(result.dist, std::memory_order_release);
   ++shard.inserts;
 }
 

@@ -125,16 +125,21 @@ class ResultCache {
                          Quality w_test)>;
 
   /// Rebinds to `new_fingerprint` while dropping only the entries a delta
-  /// can touch. Soundness: a shortest path changed by edge {u, v} uses
-  /// that edge, so its (s -> u) prefix and (v -> t) suffix already exist in
-  /// the OLD graph — a cached interval [w_lo, w_hi] for (s, t) can only be
-  /// stale if (a) it intersects the impact's constraint window
-  /// [q_lo, q_hi], and (b) the pair is reachability-coupled to {u, v} in
-  /// the old index at w_test = max(w_lo, q_lo) (reachability is monotone
-  /// non-increasing in w, so testing the lowest affected constraint is
-  /// conservative). `coupled` implements (b) from the OLD index; pass an
-  /// empty function to skip it and invalidate on quality overlap alone
-  /// (still sound, just coarser). Surviving entries are re-stamped with
+  /// can touch. Soundness: a cached interval [w_lo, w_hi] for (s, t) can
+  /// only be stale if (a) it intersects some impact's constraint window
+  /// [q_lo, q_hi] — outside every window no changed edge is usable, before
+  /// or after. For a ONE-record delta it must also hold that (b) the pair
+  /// is reachability-coupled to the changed edge {u, v} in the old index
+  /// at w_test = max(w_lo, q_lo): a shortest path changed by that edge
+  /// uses it, so its (s -> u) prefix and (v -> t) suffix already exist in
+  /// the OLD graph (reachability is monotone non-increasing in w, so
+  /// testing the lowest affected constraint is conservative). `coupled`
+  /// implements (b) from the OLD index and is consulted only when
+  /// `impacts` holds one record: with several, a new path can chain
+  /// changed edges (old prefix -> first new edge -> ... -> last new edge
+  /// -> old suffix) that no single impact couples to the pair, so (a)
+  /// alone decides. An empty `coupled` always decides on (a) alone (sound,
+  /// just coarser). Surviving entries are re-stamped with
   /// `new_fingerprint`: the delta argument certifies them for the new
   /// index. Returns the number of intervals dropped.
   size_t InvalidateDelta(uint64_t new_fingerprint,
@@ -221,7 +226,8 @@ class ResultCache {
   };
 
   /// One seqlock-protected slot. All reader-visible fields are atomics
-  /// (relaxed accesses bracketed by the version protocol), so the lock-free
+  /// (release stores and acquire loads bracketed by the version protocol,
+  /// see SlotWriteSection in result_cache.cc), so the lock-free
   /// read path is race-free by construction; `clock` is writer-only state
   /// touched exclusively under the shard mutex. 64 bytes, line-aligned.
   struct AtomicInterval {

@@ -409,7 +409,7 @@ TEST(CompressedFlat, CompressedSnapshotRoundTripsAndServesIdentically) {
 }
 
 // Migration both ways: a compressed-backend index can SaveSnapshot back to
-// the flat layout (and to .wcx), landing bit-identical to the original.
+// the flat layout, landing bit-identical to the original.
 TEST(CompressedFlat, DecompressionMigrationRoundTrips) {
   WcIndex index = BuildFinalizedIndex();
   std::string comp_path = TempPath("cf_migrate.wcsnap");

@@ -1,5 +1,5 @@
-// FlatLabelSet: CSR packing round-trips, serialization, query-kernel
-// equivalence with the vector backend, and the WcIndex::Finalize routing.
+// FlatLabelSet: CSR packing round-trips, query-kernel equivalence with the
+// vector backend, and the WcIndex::Finalize routing.
 
 #include <gtest/gtest.h>
 
@@ -63,29 +63,6 @@ TEST(FlatLabelSet, HubDirectoryMatchesGroupStructure) {
   }
 }
 
-TEST(FlatLabelSet, SaveLoadRoundTrip) {
-  WcIndex index = WcIndex::Build(TestGraph(11), WcIndexOptions::Plus());
-  FlatLabelSet flat = FlatLabelSet::FromLabelSet(index.labels());
-  std::string path = TempPath("flat_roundtrip.bin");
-  ASSERT_TRUE(flat.Save(path).ok());
-  auto loaded = FlatLabelSet::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value(), flat);
-  std::remove(path.c_str());
-}
-
-TEST(FlatLabelSet, LoadRejectsMissingAndCorruptFiles) {
-  EXPECT_FALSE(FlatLabelSet::Load("/nonexistent/flat.bin").ok());
-  std::string path = TempPath("flat_corrupt.bin");
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char junk[] = "definitely not a flat label file";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  EXPECT_FALSE(FlatLabelSet::Load(path).ok());
-  std::remove(path.c_str());
-}
-
 TEST(FlatLabelSet, EmptyAndSingleVertex) {
   FlatLabelSet empty = FlatLabelSet::FromLabelSet(LabelSet(0));
   EXPECT_EQ(empty.NumVertices(), 0u);
@@ -128,8 +105,8 @@ TEST(FlatQueryKernels, AgreeWithVectorKernelsOnAllImpls) {
 }
 
 TEST(WcIndexFinalize, FullPipelineBuildFinalizeSaveLoadQuery) {
-  // The ISSUE's acceptance flow: build -> finalize -> save -> load ->
-  // query, with answers identical at every stage.
+  // build -> finalize -> snapshot -> map -> query, with answers identical
+  // at every stage.
   QualityGraph g = TestGraph(17);
   WcIndexOptions options = WcIndexOptions::Plus();
   options.num_threads = 4;
@@ -140,11 +117,11 @@ TEST(WcIndexFinalize, FullPipelineBuildFinalizeSaveLoadQuery) {
   ASSERT_TRUE(index.finalized());
   EXPECT_EQ(index.flat_labels().ToLabelSet(), reference.labels());
 
-  std::string path = TempPath("finalized_index.wcx");
-  ASSERT_TRUE(index.Save(path).ok());
-  auto loaded = WcIndex::Load(path);
+  std::string path = TempPath("finalized_index.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  auto loaded = WcIndex::LoadMmap(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  loaded.value().Finalize();
+  EXPECT_EQ(loaded.value().order().by_rank(), reference.order().by_rank());
 
   Rng rng(31);
   const size_t n = g.NumVertices();

@@ -17,6 +17,7 @@
 #include "core/batch.h"
 #include "core/dynamic_wc_index.h"
 #include "core/wc_index.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "labeling/delta.h"
 #include "labeling/shard_manifest.h"
@@ -178,6 +179,66 @@ TEST(ResultCache, InvalidateDeltaCoupledScope) {
   EXPECT_FALSE(cache.Lookup(3, 7, 2.0f, &d));
   EXPECT_TRUE(cache.Lookup(4, 9, 2.0f, &d));
   EXPECT_EQ(d, 6u);
+}
+
+// A multi-record delta can chain: old {0-1}, {2-3}, {4-5} plus new 1-2 and
+// 3-4 connect 0 to 5, yet neither new edge is reachable from both 0 and 5
+// in the old index, so a per-record coupling probe keeps the cached INF.
+// InvalidateDelta must fall back to the quality window for such a delta.
+TEST(ResultCache, ChainedDeltaDropsPairsNoSingleRecordCouples) {
+  GraphBuilder before(6);
+  before.AddEdge(0, 1, 5.0f);
+  before.AddEdge(2, 3, 5.0f);
+  before.AddEdge(4, 5, 5.0f);
+  QualityGraph g = before.Build();
+  DeltaLog log;
+  DeltaBatch batch;
+  for (auto [u, v] : {std::pair<Vertex, Vertex>{1, 2}, {3, 4}}) {
+    DeltaRecord record;
+    record.op = static_cast<uint8_t>(DeltaOp::kInsert);
+    record.u = u;
+    record.v = v;
+    record.quality = 5.0f;
+    batch.records.push_back(record);
+  }
+  log.batches.push_back(batch);
+  DynamicWcIndex dyn(g);
+  dyn.Apply(log);
+
+  WcIndex index_a = WcIndex::Build(g);
+  index_a.Finalize();
+  WcIndex index_b = WcIndex::Build(dyn.Snapshot());
+  index_b.Finalize();
+  auto shared_a = std::make_shared<const WcIndex>(std::move(index_a));
+  auto shared_b = std::make_shared<const WcIndex>(std::move(index_b));
+
+  auto cache = std::make_shared<ResultCache>(1 << 20);
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  options.shared_cache = cache;
+  QueryEngine engine_a(shared_a, options);
+  QueryEngine engine_b(shared_b, options);
+  cache->Rebind(engine_a.cache_fingerprint());
+  ASSERT_EQ(engine_a.Query(0, 5, 1.0f), kInfDistance);
+
+  // The per-record probe `wcsd_cli serve --watch --delta` passes.
+  const WcIndex& old_index = *shared_a;
+  std::vector<DeltaImpact> impacts = DeltaImpacts(log);
+  ASSERT_EQ(impacts.size(), 2u);
+  size_t dropped = cache->InvalidateDelta(
+      engine_b.cache_fingerprint(), impacts,
+      [&old_index](Vertex s, Vertex t, const DeltaImpact& im,
+                   Quality w_test) {
+        return (old_index.Query(s, im.u, w_test) != kInfDistance &&
+                old_index.Query(im.v, t, w_test) != kInfDistance) ||
+               (old_index.Query(s, im.v, w_test) != kInfDistance &&
+                old_index.Query(im.u, t, w_test) != kInfDistance);
+      });
+  EXPECT_GE(dropped, 1u);
+  Distance d = 0;
+  EXPECT_FALSE(cache->LookupBound(0, 5, 1.0f, engine_b.cache_fingerprint(),
+                                  &d));
+  EXPECT_EQ(engine_b.Query(0, 5, 1.0f), 5u);
 }
 
 TEST(ResultCache, InsertBoundDropsStaleGenerations) {

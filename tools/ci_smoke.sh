@@ -7,15 +7,17 @@
 #   tools/ci_smoke.sh cli coldtier        # selected sections, in this order
 #
 # Sections (the default runs all of them, in this order):
-#   cli       build/query/verify/snapshot/serve round trips, the compressed
-#             snapshot + cold-tier answer-CRC equivalence, sharded serving
+#   cli       build/query/verify/stats/snapshot/serve round trips, the
+#             compressed snapshot + cold-tier answer-CRC equivalence, sharded
+#             serving
 #   crash     snapshot rewrite crashed at the commit point leaves the old
 #             file byte-identical and still serving
 #   net       TCP serving: query families over a live socket, graph-less
 #             server refuses kPath cleanly
 #   reactors  SO_REUSEPORT per-core serving answers match
 #   live      delta + offline update + SIGHUP hot reload, crash-safe update,
-#             and a compressed base updating exactly like its flat twin
+#             a compressed base updating exactly like its flat twin, and a
+#             chained two-record delta invalidating a cached INF
 #   manifest  planned shard set served over TCP, SIGTERM graceful drain
 #   degraded  corrupt shard: strict open refuses, --quarantine serves the rest
 #   coldtier  memory-capped cold-tier proof: under a ulimit -v cap the flat
@@ -34,7 +36,7 @@ while [ $# -gt 0 ]; do
     --build-dir) BUILD_DIR=$2; shift 2 ;;
     --build-dir=*) BUILD_DIR=${1#*=}; shift ;;
     -h|--help)
-      sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) SECTIONS+=("$1"); shift ;;
   esac
@@ -55,28 +57,32 @@ crc_of() { sed -n 's/.*answers crc32c=\([0-9a-f]*\).*/\1/p'; }
 # Pulls the recorded base fingerprint out of a `delta` report.
 fingerprint_of() { sed -n 's/.*base fingerprint \([0-9a-f]*\).*/\1/p'; }
 
-# Base fixtures shared by every section: a small road graph, its index,
-# flat + compressed snapshots, an even 3-shard split, and a planned
-# (label-mass-balanced) shard set. Idempotent.
+# Base fixtures shared by every section: a small road graph, its flat
+# snapshot (what `build` writes), a compressed re-encode of it, an even
+# 3-shard split, and a planned (label-mass-balanced) shard set. Idempotent.
 make_fixtures() {
-  if [ ! -f ci.wcx ]; then
+  if [ ! -f ci.wcsnap ]; then
     "$CLI" generate --out=ci.edges --kind=road --n=400 --levels=5
-    "$CLI" build --graph=ci.edges --index=ci.wcx --threads=0
+    "$CLI" build --graph=ci.edges --index=ci.wcsnap --threads=0
   fi
-  [ -f ci.wcsnap ] || "$CLI" snapshot --index=ci.wcx --out=ci.wcsnap
-  [ -f ci_c.wcsnap ] || "$CLI" snapshot --index=ci.wcx --out=ci_c.wcsnap --compress
-  [ -f ci.shard0 ] || "$CLI" snapshot --index=ci.wcx --out=ci --shards=3
-  [ -f ci_planned.manifest ] || "$CLI" shard --index=ci.wcx --out=ci_planned --shards=3
+  [ -f ci_c.wcsnap ] || "$CLI" snapshot --index=ci.wcsnap --out=ci_c.wcsnap --compress
+  [ -f ci.manifest ] || "$CLI" shard --index=ci.wcsnap --out=ci --shards=3 --even
+  [ -f ci_planned.manifest ] || "$CLI" shard --index=ci.wcsnap --out=ci_planned --shards=3
 }
 
 section_cli() {
   banner "CLI round trips"
   make_fixtures
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --w=2 --flat
-  "$CLI" query --index=ci.wcx --s=1 --w=2 --topk=5 --flat
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --profile --thresholds=1,2,3,4,5 --flat
-  "$CLI" query --index=ci.wcx --s=1 --t=42 --w=2 --path --graph=ci.edges --flat
-  "$CLI" verify --graph=ci.edges --index=ci.wcx
+  "$CLI" query --index=ci.wcsnap --s=1 --t=42 --w=2
+  "$CLI" query --index=ci.wcsnap --s=1 --w=2 --topk=5
+  "$CLI" query --index=ci.wcsnap --s=1 --t=42 --profile --thresholds=1,2,3,4,5
+  "$CLI" query --index=ci.wcsnap --s=1 --t=42 --w=2 --path --graph=ci.edges
+  "$CLI" verify --graph=ci.edges --index=ci.wcsnap
+  "$CLI" verify --graph=ci.edges --index=ci_c.wcsnap
+  "$CLI" stats --index=ci_c.wcsnap
+  # Decompressing the compressed re-encode gives back the built file.
+  "$CLI" snapshot --index=ci_c.wcsnap --out=ci_d.wcsnap
+  cmp ci_d.wcsnap ci.wcsnap
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --verify
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --cache-mb=8
   "$CLI" serve --snapshot=ci.shard0,ci.shard1,ci.shard2 --queries=20000
@@ -96,7 +102,7 @@ section_cli() {
   test "$flat_crc" = "$comp_crc"
   test "$flat_crc" = "$cold_crc"
   # A compressed planned shard set serves the same workload bit-identically.
-  [ -f ci_cplanned.manifest ] || "$CLI" shard --index=ci.wcx --out=ci_cplanned --shards=3 --compress
+  [ -f ci_cplanned.manifest ] || "$CLI" shard --index=ci.wcsnap --out=ci_cplanned --shards=3 --compress
   cshard_crc=$("$CLI" serve --manifest=ci_cplanned.manifest --queries=20000 --seed=11 --verify \
     | tee /dev/stderr | crc_of)
   test "$flat_crc" = "$cshard_crc"
@@ -113,7 +119,7 @@ section_crash() {
   cp ci.wcsnap ci_before.wcsnap
   set +e
   WCSD_FAILPOINTS="atomic_file.rename=crash" \
-    "$CLI" snapshot --index=ci.wcx --out=ci.wcsnap
+    "$CLI" snapshot --index=ci.wcsnap --out=ci.wcsnap
   status=$?
   set -e
   test "$status" -eq 42
@@ -124,7 +130,7 @@ section_crash() {
   rm -f ci.wcsnap.tmp.*
   "$CLI" serve --snapshot=ci.wcsnap --queries=5000 --verify
   # Recovery: a clean rewrite over the survivor must succeed.
-  "$CLI" snapshot --index=ci.wcx --out=ci.wcsnap
+  "$CLI" snapshot --index=ci.wcsnap --out=ci.wcsnap
   "$CLI" serve --snapshot=ci.wcsnap --queries=5000 --verify
 }
 
@@ -232,6 +238,34 @@ section_live() {
   test -n "$fu_crc"
   test "$fu_crc" = "$(printf '%s\n' "$cu_out" | crc_of)"
   printf '%s\n' "$cu_out" | grep -q "^compressed labels"
+  # A two-record delta whose inserts chain into a new path: 0-1, 2-3 and
+  # 4-5 stay apart until 1-2 and 3-4 arrive, and neither insert alone is
+  # reachable from both 0 and 5 in the old index. The INF the server
+  # cached for (0, 5) must not survive the delta-scoped invalidation.
+  printf '0 1 5\n2 3 5\n4 5 5\n' > chain.edges
+  "$CLI" build --graph=chain.edges --index=chain.wcsnap
+  "$CLI" serve --snapshot=chain.wcsnap --listen=39122 --watch \
+    --delta=chain.delta --cache-mb=1 --max-seconds=60 &
+  server_pid=$!
+  sleep 2
+  chain_dist() { "$CLI" query --connect=127.0.0.1:39122 --s=0 --t=5 --w=1 \
+    | sed -E 's/.*\) = ([0-9]+|INF).*/\1/'; }
+  chain_before=$(chain_dist)
+  echo "chain before: dist = $chain_before"
+  "$CLI" delta --out=chain.delta --base-snapshot=chain.wcsnap --add='1,2,5;3,4,5'
+  "$CLI" update --snapshot=chain.wcsnap --graph=chain.edges \
+    --delta=chain.delta --out=chain.wcsnap
+  kill -HUP "$server_pid"
+  sleep 2
+  chain_after=$(chain_dist)
+  chain_local=$("$CLI" query --index=chain.wcsnap --s=0 --t=5 --w=1 \
+    | sed -E 's/.*\) = ([0-9]+|INF).*/\1/')
+  echo "chain after: dist = $chain_after (local: $chain_local)"
+  kill -INT "$server_pid"
+  wait "$server_pid" || true
+  test "$chain_before" = "INF"
+  test "$chain_local" = "5"
+  test "$chain_after" = "$chain_local"
 }
 
 section_manifest() {
@@ -271,12 +305,11 @@ section_degraded() {
 section_coldtier() {
   banner "memory-capped cold-tier serving"
   CAP_KB=65536
-  if [ ! -f mem.wcx ]; then
+  if [ ! -f mem.wcsnap ]; then
     "$CLI" generate --out=mem.edges --kind=road --n=20000 --levels=5
-    "$CLI" build --graph=mem.edges --index=mem.wcx --threads=0
+    "$CLI" build --graph=mem.edges --index=mem.wcsnap --threads=0
   fi
-  [ -f mem.wcsnap ] || "$CLI" snapshot --index=mem.wcx --out=mem.wcsnap
-  [ -f mem_c.wcsnap ] || "$CLI" snapshot --index=mem.wcx --out=mem_c.wcsnap --compress
+  [ -f mem_c.wcsnap ] || "$CLI" snapshot --index=mem.wcsnap --out=mem_c.wcsnap --compress
   ls -la mem.wcsnap mem_c.wcsnap
   # Reference answers from the uncapped flat backend.
   flat_crc=$("$CLI" serve --snapshot=mem.wcsnap --queries=20000 --seed=7 --verify \

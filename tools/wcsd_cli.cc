@@ -1,18 +1,22 @@
 // wcsd — command-line front end for the library.
 //
+// Every index file is a snapshot (labeling/snapshot.h): `build` writes one,
+// and every subcommand that reads an index maps one.
+//
 // Subcommands:
 //   build     --graph=<file> --index=<out> [--order=degree|tree|hybrid]
 //             [--threads=<n>] [--batch=<n>] [--format=edges|dimacs]
-//             build and save a WC-INDEX; --threads=0 uses all cores via the
+//             build a WC-INDEX and write it as a flat snapshot (atomic,
+//             checksummed); --threads=0 uses all cores via the
 //             rank-batched parallel pipeline (identical output), --batch
 //             overrides the auto batch schedule
-//   query     --index=<file> --s=<v> --t=<v> --w=<q> [--cache-mb=M]
+//   query     --index=<snapshot> --s=<v> --t=<v> --w=<q> [--cache-mb=M]
 //             [--path --graph=<file>]
 //             [--topk=K [--candidates=v1,v2,...]]
 //             [--profile --thresholds=w1,w2,...]
-//             answer one query (or, with --path, its route) from a saved
-//             index, finalized and served through the query engine
-//             (--flat is accepted and ignored). --topk ranks the
+//             answer one query (or, with --path, its route) from a full
+//             snapshot, opened through the query engine the way `serve`
+//             opens it. --topk ranks the
 //             candidates (default: every vertex) by constrained distance
 //             from --s and keeps the K closest; --profile sweeps the
 //             (w, d) trade-off curve for (--s, --t) at the given
@@ -36,18 +40,19 @@
 //             the same, from a mapped shard set (see `shard`); --path
 //             steps greedily through the graph (shards carry no parent
 //             quads); --cache-mb enables the dominance-aware result cache
-//   stats     --index=<file>                 label statistics
-//   verify    --graph=<file> --index=<file>  brute-force Theorem 1 checks
+//   stats     --index=<snapshot>             label statistics (a full
+//             snapshot or one shard file)
+//   verify    --graph=<file> --index=<snapshot>
+//             brute-force Theorem 1 checks of a full snapshot's labels
 //   generate  --out=<file> --kind=road|social [--n=...] [--levels=...]
 //             [--seed=...]                   write a synthetic dataset
-//   snapshot  --index=<file> --out=<file> [--shards=N] [--compress]
-//             convert a saved index into the page-aligned, checksummed,
-//             mmap'able snapshot format; --shards=N writes N vertex-range
-//             shard files <out>.shard0 .. <out>.shard{N-1} instead;
-//             --compress stores the labels delta/varint-encoded (v3
-//             sections, labeling/compressed_flat.h) — served straight off
-//             the blob, bit-identical answers, ~3x smaller at rest
-//   shard     --index=<file> --out=<stem> (--shards=N | --max-bytes=B)
+//   snapshot  --index=<snapshot> --out=<file> [--compress]
+//             re-encode a full snapshot: --compress stores the labels
+//             delta/varint-encoded (v3 sections, labeling/compressed_flat.h)
+//             — served straight off the blob, bit-identical answers, ~3x
+//             smaller at rest; without it the labels come out flat, so a
+//             compressed snapshot decompresses
+//   shard     --index=<snapshot> --out=<stem> (--shards=N | --max-bytes=B)
 //             [--even] [--compress]
 //             plan label-mass-balanced shard boundaries (greedy prefix-sum
 //             split; --even cuts even vertex ranges instead), write
@@ -129,11 +134,11 @@
 //
 // Examples:
 //   wcsd_cli generate --out=g.edges --kind=road --n=10000 --levels=5
-//   wcsd_cli build --graph=g.edges --index=g.wcx --order=hybrid
-//   wcsd_cli query --index=g.wcx --s=3 --t=99 --w=2
-//   wcsd_cli snapshot --index=g.wcx --out=g.wcsnap
+//   wcsd_cli build --graph=g.edges --index=g.wcsnap --order=hybrid
+//   wcsd_cli query --index=g.wcsnap --s=3 --t=99 --w=2
+//   wcsd_cli snapshot --index=g.wcsnap --out=g_c.wcsnap --compress
 //   wcsd_cli serve --snapshot=g.wcsnap --queries=100000 --threads=4
-//   wcsd_cli shard --index=g.wcx --out=g --shards=4
+//   wcsd_cli shard --index=g.wcsnap --out=g --shards=4
 //   wcsd_cli serve --manifest=g.manifest --listen=9000
 //   wcsd_cli delta --out=g.delta --base-snapshot=g.wcsnap --add=3,99,4
 //   wcsd_cli update --snapshot=g.wcsnap --graph=g.edges --delta=g.delta
@@ -232,7 +237,8 @@ int CmdBuild(const Flags& flags) {
   std::printf("built in %.2f s: %zu vertices, %zu entries, %zu bytes\n",
               timer.Seconds(), index.NumVertices(), index.TotalEntries(),
               index.MemoryBytes());
-  Status st = index.Save(out);
+  index.Finalize();
+  Status st = index.SaveSnapshot(out);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
@@ -582,30 +588,65 @@ int CmdQuery(const Flags& flags) {
     return AnswerLocal(engine.value(), flags, manifest);
   }
   std::string path = flags.GetString("index", "");
-  auto loaded = WcIndex::Load(path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
+  auto engine = QueryEngine::Open(path, options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  loaded.value().Finalize();
-  QueryEngine engine(
-      std::make_shared<const WcIndex>(std::move(loaded).value()), options);
-  return AnswerLocal(engine, flags, path);
+  return AnswerLocal(engine.value(), flags, path);
+}
+
+/// Maps a full snapshot with a stored vertex order — what `build` writes —
+/// for `verify`, `shard` and `update`.
+Result<MappedSnapshot> OpenFullSnapshot(const std::string& path) {
+  auto mapped = LoadSnapshotMmap(path);
+  if (!mapped.ok()) return mapped.status();
+  if (!mapped.value().info.IsFullRange() || !mapped.value().info.has_order) {
+    return Status::InvalidArgument(
+        path + " is not a full snapshot with a stored vertex order (a shard "
+               "file holds one vertex range only)");
+  }
+  return mapped;
+}
+
+/// Adopts a full snapshot's labels and order for `g` without rebuilding.
+/// `g` must be the graph the snapshot was built from; a vertex-count
+/// mismatch is refused.
+Result<DynamicWcIndex> AdoptSnapshot(const QualityGraph& g,
+                                     const MappedSnapshot& mm,
+                                     const WcIndexOptions& options = {}) {
+  if (g.NumVertices() != mm.info.num_vertices_total) {
+    return Status::InvalidArgument(
+        "--graph has " + std::to_string(g.NumVertices()) +
+        " vertices but the snapshot serves " +
+        std::to_string(mm.info.num_vertices_total) +
+        " — pass the exact graph the snapshot was built from");
+  }
+  auto flat = mm.labels.Materialize();
+  if (!flat.ok()) return flat.status();
+  return DynamicWcIndex(g, VertexOrder(mm.order_by_rank),
+                        flat.value().ToLabelSet(), options);
 }
 
 int CmdStats(const Flags& flags) {
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
+  auto mapped = LoadSnapshotMmap(flags.GetString("index", ""));
+  if (!mapped.ok()) {
+    std::fprintf(stderr, "error: %s\n", mapped.status().ToString().c_str());
     return 1;
   }
-  const WcIndex& index = loaded.value();
-  LabelStats stats = ComputeLabelStats(index.labels());
-  std::printf("vertices: %zu\n", index.NumVertices());
+  const LabelSource& source = mapped.value().labels;
+  auto flat = source.Materialize();
+  if (!flat.ok()) {
+    std::fprintf(stderr, "error: %s\n", flat.status().ToString().c_str());
+    return 1;
+  }
+  const LabelSet labels = flat.value().ToLabelSet();
+  LabelStats stats = ComputeLabelStats(labels);
+  std::printf("vertices: %zu\n", source.NumVertices());
   std::printf("%s\n", stats.Summary().c_str());
-  std::printf("bytes: %zu\n", index.MemoryBytes());
+  std::printf("bytes: %zu\n", source.MemoryBytes());
   std::printf("label-size histogram (bucket = [2^i, 2^(i+1))):\n");
-  auto histogram = LabelSizeHistogram(index.labels());
+  auto histogram = LabelSizeHistogram(labels);
   for (size_t i = 0; i < histogram.size(); ++i) {
     std::printf("  [%6zu, %6zu): %zu\n", size_t{1} << i, size_t{1} << (i + 1),
                 histogram[i]);
@@ -619,12 +660,18 @@ int CmdVerify(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
     return 1;
   }
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
+  auto mapped = OpenFullSnapshot(flags.GetString("index", ""));
+  if (!mapped.ok()) {
+    std::fprintf(stderr, "error: %s\n", mapped.status().ToString().c_str());
     return 1;
   }
-  VerificationReport report = VerifyAll(loaded.value(), graph.value());
+  auto adopted = AdoptSnapshot(graph.value(), mapped.value());
+  if (!adopted.ok()) {
+    std::fprintf(stderr, "error: %s\n", adopted.status().ToString().c_str());
+    return 1;
+  }
+  WcIndex index = adopted.value().ReleaseIndex();
+  VerificationReport report = VerifyAll(index, graph.value());
   std::printf("%s\n", report.Summary().c_str());
   return report.ok() ? 0 : 1;
 }
@@ -670,7 +717,7 @@ int CmdGenerate(const Flags& flags) {
 }
 
 int CmdSnapshot(const Flags& flags) {
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
+  auto loaded = WcIndex::LoadMmap(flags.GetString("index", ""));
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
     return 1;
@@ -680,49 +727,30 @@ int CmdSnapshot(const Flags& flags) {
     std::fprintf(stderr, "error: --out is required\n");
     return 1;
   }
-  WcIndex& index = loaded.value();
-  index.Finalize();
+  const WcIndex& index = loaded.value();
   SnapshotWriteOptions write_options;
   write_options.compress = flags.GetBool("compress", false);
-  int64_t shards = flags.GetInt("shards", 0);
-  if (shards < 0) {
-    std::fprintf(stderr, "error: --shards must be >= 0\n");
+  Status st = index.SaveSnapshot(out, write_options);
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
   }
-  if (shards <= 1) {
-    Status st = index.SaveSnapshot(out, write_options);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s: %zu vertices, %zu entries\n", out.c_str(),
-                index.NumVertices(), index.TotalEntries());
-    return 0;
-  }
-  uint64_t n = index.NumVertices();
-  for (int64_t k = 0; k < shards; ++k) {
-    uint64_t begin = n * static_cast<uint64_t>(k) /
-                     static_cast<uint64_t>(shards);
-    uint64_t end = n * static_cast<uint64_t>(k + 1) /
-                   static_cast<uint64_t>(shards);
-    std::string path = out + ".shard" + std::to_string(k);
-    Status st = WriteSnapshotShard(path, index.flat_labels(), begin, end, n,
-                                   /*parents=*/{}, write_options);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s: vertices [%llu, %llu)\n", path.c_str(),
-                static_cast<unsigned long long>(begin),
-                static_cast<unsigned long long>(end));
-  }
+  std::printf("wrote %s: %zu vertices, %zu entries%s\n", out.c_str(),
+              index.NumVertices(), index.TotalEntries(),
+              write_options.compress ? " (compressed)" : "");
   return 0;
 }
 
 int CmdShard(const Flags& flags) {
-  auto loaded = WcIndex::Load(flags.GetString("index", ""));
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
+  auto mapped = OpenFullSnapshot(flags.GetString("index", ""));
+  if (!mapped.ok()) {
+    std::fprintf(stderr, "error: %s\n", mapped.status().ToString().c_str());
+    return 1;
+  }
+  auto materialized = mapped.value().labels.Materialize();
+  if (!materialized.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 materialized.status().ToString().c_str());
     return 1;
   }
   std::string out = flags.GetString("out", "");
@@ -737,9 +765,7 @@ int CmdShard(const Flags& flags) {
                  "error: pass exactly one of --shards=N or --max-bytes=B\n");
     return 1;
   }
-  WcIndex& index = loaded.value();
-  index.Finalize();
-  const FlatLabelSet& flat = index.flat_labels();
+  const FlatLabelSet& flat = materialized.value();
 
   ShardPlanOptions options;
   options.num_shards = static_cast<size_t>(shards);
@@ -782,8 +808,8 @@ int CmdShard(const Flags& flags) {
   }
   std::printf("wrote %s: %zu shards, %zu vertices, %zu entries (%.2f s)\n",
               written.value().manifest_path.c_str(),
-              plan.value().shards.size(), index.NumVertices(),
-              index.TotalEntries(), timer.Seconds());
+              plan.value().shards.size(), flat.NumVertices(),
+              flat.TotalEntries(), timer.Seconds());
   return 0;
 }
 
@@ -917,18 +943,12 @@ int CmdUpdate(const Flags& flags) {
                  "error: --snapshot, --delta, and --out are required\n");
     return 1;
   }
-  auto mapped = LoadSnapshotMmap(snapshot);
+  auto mapped = OpenFullSnapshot(snapshot);
   if (!mapped.ok()) {
     std::fprintf(stderr, "error: %s\n", mapped.status().ToString().c_str());
     return 1;
   }
-  MappedSnapshot& mm = mapped.value();
-  if (!mm.info.IsFullRange() || !mm.info.has_order) {
-    std::fprintf(stderr,
-                 "error: update wants a full snapshot with a stored vertex "
-                 "order (shard files cannot be updated in place)\n");
-    return 1;
-  }
+  const MappedSnapshot& mm = mapped.value();
   auto log = ReadDeltaLog(delta_path);
   if (!log.ok()) {
     std::fprintf(stderr, "error: %s\n", log.status().ToString().c_str());
@@ -950,16 +970,6 @@ int CmdUpdate(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
     return 1;
   }
-  if (graph.value().NumVertices() != mm.info.num_vertices_total) {
-    std::fprintf(stderr,
-                 "error: --graph has %zu vertices but the snapshot serves "
-                 "%llu — update wants the exact graph the snapshot was "
-                 "built from\n",
-                 graph.value().NumVertices(),
-                 static_cast<unsigned long long>(
-                     mm.info.num_vertices_total));
-    return 1;
-  }
   WcIndexOptions options = WcIndexOptions::Plus();
   std::string order = flags.GetString("order", "hybrid");
   if (order == "degree") {
@@ -977,15 +987,13 @@ int CmdUpdate(const Flags& flags) {
   }
   options.num_threads = static_cast<size_t>(threads);
 
-  auto flat = mm.labels.Materialize();
-  if (!flat.ok()) {
-    std::fprintf(stderr, "error: %s\n", flat.status().ToString().c_str());
+  Timer timer;
+  auto adopted = AdoptSnapshot(graph.value(), mm, options);
+  if (!adopted.ok()) {
+    std::fprintf(stderr, "error: %s\n", adopted.status().ToString().c_str());
     return 1;
   }
-
-  Timer timer;
-  DynamicWcIndex dyn(graph.value(), VertexOrder(mm.order_by_rank),
-                     flat.value().ToLabelSet(), options);
+  DynamicWcIndex& dyn = adopted.value();
   const bool incremental = dyn.Apply(log.value());
   std::string out_graph = flags.GetString("out-graph", "");
   if (!out_graph.empty()) {
@@ -1352,10 +1360,12 @@ int CmdServe(const Flags& flags) {
           std::vector<DeltaImpact> impacts = DeltaImpacts(log.value());
           ResultCache::CoupledFn coupled;
           if (current->has_index()) {
-            // Pair (s, t) can only be affected if it reaches the changed
-            // edge from both sides in the OLD index at the lowest
-            // affected constraint (probed uncached: this runs under the
-            // cache's shard mutexes).
+            // For a one-record log, pair (s, t) can only be affected if it
+            // reaches the changed edge from both sides in the OLD index at
+            // the lowest affected constraint (probed uncached: this runs
+            // under the cache's shard mutexes). InvalidateDelta ignores
+            // the probe for longer logs, whose records can chain into a
+            // path no single record couples to (s, t).
             auto old_engine = current;
             coupled = [old_engine](Vertex s, Vertex t,
                                    const DeltaImpact& impact,
