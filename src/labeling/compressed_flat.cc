@@ -211,16 +211,6 @@ Status CompressedFlatLabelSet::DecodeVertex(Vertex v, DecodedLabel* out) const {
   return Status::OK();
 }
 
-Result<FlatLabelSet> CompressedFlatLabelSet::Decompress() const {
-  LabelSet labels(NumVertices());
-  DecodedLabel scratch;
-  for (Vertex v = 0; v < NumVertices(); ++v) {
-    WCSD_RETURN_NOT_OK(DecodeVertex(v, &scratch));
-    *labels.Mutable(v) = scratch.entries;
-  }
-  return FlatLabelSet::FromLabelSet(labels);
-}
-
 Status CompressedFlatLabelSet::Validate(ValidateLevel level) const {
   // kShape: array-shape consistency, O(vertices). The three offset arrays
   // share one length; every one starts at 0 and ascends; the byte offsets

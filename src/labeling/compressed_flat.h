@@ -119,9 +119,6 @@ class CompressedFlatLabelSet {
   /// clean Status and leaves `out` cleared.
   Status DecodeVertex(Vertex v, DecodedLabel* out) const;
 
-  /// Exact inverse of FromFlat (round-trip tests; one-shot migration).
-  Result<FlatLabelSet> Decompress() const;
-
   /// Structural validation. kShape is O(vertices): array shapes, offset
   /// monotonicity, dictionary sortedness. kDirectory and kDeep both cost a
   /// full streaming parse of the blob (compressed streams cannot be

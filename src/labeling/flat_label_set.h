@@ -118,6 +118,7 @@ class FlatLabelSet {
   }
 
   size_t TotalEntries() const { return entries_.size(); }
+  size_t TotalGroups() const { return groups_.size(); }
 
   /// Bytes of the four CSR arrays — the flat backend's "index size".
   size_t MemoryBytes() const {

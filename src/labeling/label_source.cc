@@ -10,21 +10,38 @@ uint64_t LabelSource::ContentFingerprint() const {
   return chain.Append(*this) ? chain.Fingerprint() : 0;
 }
 
-Result<FlatLabelSet> LabelSource::Materialize() const {
-  if (!compressed_) return flat_;
-  return packed_.Decompress();
+const char* LabelFormName(LabelForm form) {
+  switch (form) {
+    case LabelForm::kFlat: return "flat";
+    case LabelForm::kSliced: return "sliced";
+    case LabelForm::kCompressed: return "compressed";
+  }
+  return "unknown";
 }
 
-Status LabelSource::Validate(ValidateLevel level) const {
-  return compressed_ ? packed_.Validate(level) : flat_.Validate(level);
+Status LabelSource::Decode(Vertex local, DecodedLabel* out) const {
+  return form_ == LabelForm::kSliced ? sliced_.DecodeVertex(local, out)
+                                     : packed_.DecodeVertex(local, out);
 }
+
+Result<FlatLabelSet> LabelSource::Materialize() const {
+  if (form_ == LabelForm::kFlat) return flat_;
+  LabelSet labels(NumVertices());
+  DecodedLabel scratch;
+  for (Vertex v = 0; v < NumVertices(); ++v) {
+    WCSD_RETURN_NOT_OK(Decode(v, &scratch));
+    *labels.Mutable(v) = scratch.entries;
+  }
+  return FlatLabelSet::FromLabelSet(labels);
+}
+
 
 ContentCrcChain::ContentCrcChain(uint64_t num_vertices_total)
     : entries_crc_(Crc32c(&num_vertices_total, sizeof(num_vertices_total))),
       groups_crc_(entries_crc_) {}
 
 bool ContentCrcChain::Append(const LabelSource& labels) {
-  if (!labels.compressed()) {
+  if (labels.form() == LabelForm::kFlat) {
     auto entries = labels.flat().raw_entries();
     auto groups = labels.flat().raw_groups();
     entries_crc_ = Crc32c(entries.data(), entries.size() * sizeof(LabelEntry),
@@ -33,10 +50,10 @@ bool ContentCrcChain::Append(const LabelSource& labels) {
         Crc32c(groups.data(), groups.size() * sizeof(HubGroup), groups_crc_);
     return true;
   }
-  // Per-vertex decodes concatenate to the flat arrays byte for byte.
+  // Per-vertex rebuilds concatenate to the flat arrays byte for byte.
   DecodedLabel scratch;
   for (Vertex v = 0; v < labels.NumVertices(); ++v) {
-    if (!labels.packed().DecodeVertex(v, &scratch).ok()) return false;
+    if (!labels.Decode(v, &scratch).ok()) return false;
     entries_crc_ = Crc32c(scratch.entries.data(),
                           scratch.entries.size() * sizeof(LabelEntry),
                           entries_crc_);
@@ -49,6 +66,10 @@ bool ContentCrcChain::Append(const LabelSource& labels) {
 Distance QueryMerge(const LabelSource& s_labels, Vertex s,
                     const LabelSource& t_labels, Vertex t, Quality w,
                     DecodedLabel* s_scratch, DecodedLabel* t_scratch) {
+  if (s_labels.form() == LabelForm::kSliced &&
+      t_labels.form() == LabelForm::kSliced) {
+    return QuerySlicedMerge(s_labels.sliced(), s, t_labels.sliced(), t, w);
+  }
   if (s_labels.compressed() && t_labels.compressed()) {
     return QueryCompressedMerge(s_labels.packed(), s, t_labels.packed(), t, w);
   }

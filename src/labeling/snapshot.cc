@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "util/atomic_file.h"
@@ -23,12 +24,14 @@ static_assert(sizeof(Vertex) == 4);
 static_assert(sizeof(LabelEntry) == 12);
 static_assert(sizeof(HubGroup) == 8);
 static_assert(sizeof(Quality) == 4);
+static_assert(sizeof(SlicePair) == 8);
 
 constexpr uint64_t kSnapshotMagic = 0x57435344'534e4150ULL;  // "WCSDSNAP"
 constexpr uint64_t kPageSize = 4096;
 constexpr uint32_t kFlagHasOrder = 1u << 0;
 constexpr uint32_t kFlagHasParents = 1u << 1;   // v2 and later
 constexpr uint32_t kFlagCompressed = 1u << 2;   // v3 and later
+constexpr uint32_t kFlagSliced = 1u << 3;       // v4
 
 enum SectionId : size_t {
   kSectionOrder = 0,
@@ -40,15 +43,20 @@ enum SectionId : size_t {
   kSectionCompOffsets = 6,  // v3+; per-vertex byte offsets into the blob
   kSectionBlob = 7,         // v3+; delta/varint label streams
   kSectionDict = 8,         // v3+; sorted distinct finite qualities
-  kNumSections = 9,
+  kSectionSliceDict = 9,    // v4; the slice levels' qualities, ascending
+  kSectionSliceOffsets = 10,  // v4; per level, n_range+1 offsets
+  kSectionSlicePairs = 11,  // v4; packed (hub, dist) pairs, level-major
+  kNumSections = 12,
 };
 constexpr size_t kNumSectionsV1 = 5;
 constexpr size_t kNumSectionsV2 = 6;
+constexpr size_t kNumSectionsV3 = 9;
 
 constexpr uint64_t kSectionElemSize[kNumSections] = {
     sizeof(Vertex),   sizeof(uint64_t), sizeof(LabelEntry),
     sizeof(uint64_t), sizeof(HubGroup), sizeof(Vertex),
-    sizeof(uint64_t), sizeof(uint8_t),  sizeof(Quality)};
+    sizeof(uint64_t), sizeof(uint8_t),  sizeof(Quality),
+    sizeof(Quality),  sizeof(uint64_t), sizeof(SlicePair)};
 
 struct SectionDesc {
   uint64_t file_offset;
@@ -63,7 +71,8 @@ static_assert(sizeof(SectionDesc) == 32);
 // section-table length (and therefore where header_crc sits). v1 files —
 // everything written before the parents section existed, and every
 // parent-less uncompressed file written since — use the 5-entry table;
-// v2 adds the parents slot, v3 the three compressed-label slots.
+// v2 adds the parents slot, v3 the three compressed-label slots, v4 the
+// three slice slots.
 template <size_t N>
 struct SnapshotHeaderT {
   uint64_t magic;
@@ -78,12 +87,14 @@ struct SnapshotHeaderT {
 };
 using SnapshotHeaderV1 = SnapshotHeaderT<kNumSectionsV1>;
 using SnapshotHeaderV2 = SnapshotHeaderT<kNumSectionsV2>;
-// The in-memory canonical form is the v3 layout; older files are widened
+using SnapshotHeaderV3 = SnapshotHeaderT<kNumSectionsV3>;
+// The in-memory canonical form is the v4 layout; older files are widened
 // on parse (absent sections zeroed).
 using SnapshotHeader = SnapshotHeaderT<kNumSections>;
 static_assert(offsetof(SnapshotHeaderV1, header_crc) == 208);
 static_assert(offsetof(SnapshotHeaderV2, header_crc) == 240);
-static_assert(offsetof(SnapshotHeader, header_crc) == 336);
+static_assert(offsetof(SnapshotHeaderV3, header_crc) == 336);
+static_assert(offsetof(SnapshotHeader, header_crc) == 432);
 static_assert(sizeof(SnapshotHeader) <= kPageSize);
 
 uint64_t AlignUp(uint64_t x) { return (x + kPageSize - 1) & ~(kPageSize - 1); }
@@ -95,7 +106,7 @@ struct SectionData {
 
 // Lays out the sections page-aligned after the header, fills the section
 // table (offsets, lengths, checksums), and writes the file with the given
-// header layout (v1 or v2).
+// header layout (v1 to v4).
 template <size_t N>
 Status WriteSnapshotFileT(const std::string& path, uint32_t version,
                           SnapshotHeaderT<N> header,
@@ -148,32 +159,45 @@ Status WriteSnapshotFileT(const std::string& path, uint32_t version,
   return writer.Commit();
 }
 
+// The canonical header's fixed fields in a layout with a shorter section
+// table; WriteSnapshotFileT fills the table.
+template <size_t N>
+SnapshotHeaderT<N> Narrow(const SnapshotHeader& header, uint32_t flags) {
+  SnapshotHeaderT<N> narrow = {};
+  narrow.flags = flags;
+  narrow.num_vertices_total = header.num_vertices_total;
+  narrow.vertex_begin = header.vertex_begin;
+  narrow.vertex_end = header.vertex_end;
+  return narrow;
+}
+
 // Picks the smallest header layout that can carry the payload: v1 when
-// neither parents nor compressed sections are present, v2 with parents
-// only, v3 for compressed files. Keeps every older payload byte-identical
-// to the format it has always been written in.
+// neither parents, compressed nor sliced sections are present, v2 with
+// parents only, v3 for compressed files, v4 for sliced ones. Keeps every
+// older payload byte-identical to the format it has always been written
+// in.
 Status WriteSnapshotFile(const std::string& path, const SnapshotHeader& header,
                          const SectionData (&sections)[kNumSections]) {
-  if (sections[kSectionCompOffsets].element_count != 0) {
-    SnapshotHeader v3 = header;
-    v3.flags |= kFlagCompressed;
-    return WriteSnapshotFileT(path, /*version=*/kSnapshotVersion, v3,
+  if ((header.flags & kFlagSliced) != 0) {
+    return WriteSnapshotFileT(path, /*version=*/kSnapshotVersion, header,
                               sections);
   }
-  if (sections[kSectionParents].element_count == 0) {
-    SnapshotHeaderV1 v1 = {};
-    v1.flags = header.flags & ~kFlagHasParents;
-    v1.num_vertices_total = header.num_vertices_total;
-    v1.vertex_begin = header.vertex_begin;
-    v1.vertex_end = header.vertex_end;
-    return WriteSnapshotFileT(path, /*version=*/1, v1, sections);
+  if (sections[kSectionCompOffsets].element_count != 0) {
+    return WriteSnapshotFileT(
+        path, /*version=*/3,
+        Narrow<kNumSectionsV3>(header, header.flags | kFlagCompressed),
+        sections);
   }
-  SnapshotHeaderV2 v2 = {};
-  v2.flags = header.flags | kFlagHasParents;
-  v2.num_vertices_total = header.num_vertices_total;
-  v2.vertex_begin = header.vertex_begin;
-  v2.vertex_end = header.vertex_end;
-  return WriteSnapshotFileT(path, /*version=*/2, v2, sections);
+  if (sections[kSectionParents].element_count == 0) {
+    return WriteSnapshotFileT(
+        path, /*version=*/1,
+        Narrow<kNumSectionsV1>(header, header.flags & ~kFlagHasParents),
+        sections);
+  }
+  return WriteSnapshotFileT(
+      path, /*version=*/2,
+      Narrow<kNumSectionsV2>(header, header.flags | kFlagHasParents),
+      sections);
 }
 
 Result<SnapshotHeader> ParseHeader(const std::byte* data, size_t size,
@@ -190,7 +214,7 @@ Result<SnapshotHeader> ParseHeader(const std::byte* data, size_t size,
   if (magic != kSnapshotMagic) {
     return Status::Corruption("bad snapshot magic in " + path);
   }
-  if (version != 1 && version != 2 && version != kSnapshotVersion) {
+  if (version < 1 || version > kSnapshotVersion) {
     return Status::Corruption("unsupported snapshot version " +
                               std::to_string(version) + " in " + path);
   }
@@ -229,10 +253,18 @@ Result<SnapshotHeader> ParseHeader(const std::byte* data, size_t size,
   } else if (version == 2) {
     WCSD_RETURN_NOT_OK(widen(SnapshotHeaderV2{}, kNumSectionsV2,
                              kFlagHasOrder | kFlagHasParents));
-  } else {
-    WCSD_RETURN_NOT_OK(widen(SnapshotHeader{}, kNumSections,
+  } else if (version == 3) {
+    WCSD_RETURN_NOT_OK(widen(SnapshotHeaderV3{}, kNumSectionsV3,
                              kFlagHasOrder | kFlagHasParents |
                                  kFlagCompressed));
+  } else {
+    // v4 exists for the sliced form alone; the writer never puts parents
+    // or compressed sections next to slices.
+    WCSD_RETURN_NOT_OK(
+        widen(SnapshotHeader{}, kNumSections, kFlagHasOrder | kFlagSliced));
+    if ((header.flags & kFlagSliced) == 0) {
+      return Status::Corruption("inconsistent snapshot header in " + path);
+    }
   }
   // Vertex ids are 32-bit (types.h reserves the max value as kNullVertex),
   // which also keeps every count arithmetic below overflow-safe.
@@ -245,19 +277,28 @@ Result<SnapshotHeader> ParseHeader(const std::byte* data, size_t size,
   const bool has_order = (header.flags & kFlagHasOrder) != 0;
   const bool has_parents = (header.flags & kFlagHasParents) != 0;
   const bool compressed = (header.flags & kFlagCompressed) != 0;
+  const bool sliced = (header.flags & kFlagSliced) != 0;
   // Parent quads align index-for-index with the flat entry array, which a
   // compressed file does not carry — the combination is unrepresentable.
   if (compressed && has_parents) {
     return Status::Corruption(
         "compressed snapshot claims a parents section in " + path);
   }
-  // A compressed file stores its labels in the blob: the flat entry and
-  // group sections must be empty (and vice versa, uncompressed files must
-  // not smuggle in compressed sections).
-  if (compressed && (header.sections[kSectionEntries].element_count != 0 ||
-                     header.sections[kSectionGroups].element_count != 0)) {
-    return Status::Corruption(
-        "compressed snapshot carries flat label sections in " + path);
+  // A compressed or sliced file stores its labels in its own sections:
+  // the flat entry and group sections must be empty (and vice versa, other
+  // files must not smuggle in compressed or slice sections).
+  if ((compressed || sliced) &&
+      (header.sections[kSectionEntries].element_count != 0 ||
+       header.sections[kSectionGroups].element_count != 0)) {
+    return Status::Corruption(std::string(compressed ? "compressed" : "sliced") +
+                              " snapshot carries flat label sections in " +
+                              path);
+  }
+  // Each slice level has one n_range+1 offsets row; the product is
+  // guarded because ReadSnapshotInfo cannot bound counts by a file size.
+  const uint64_t levels = header.sections[kSectionSliceDict].element_count;
+  if (sliced && levels > std::numeric_limits<uint64_t>::max() / (n_range + 1)) {
+    return Status::Corruption("bad snapshot section table in " + path);
   }
   // Parents are quads for the entries: when present, the two sections must
   // align index-for-index. Entries, groups and (for compressed files) the
@@ -272,6 +313,9 @@ Result<SnapshotHeader> ParseHeader(const std::byte* data, size_t size,
       has_parents ? header.sections[kSectionEntries].element_count : 0,
       compressed ? n_range + 1 : 0,
       0,
+      0,
+      0,
+      sliced ? levels * (n_range + 1) : 0,
       0};
   for (size_t s = 0; s < kNumSections; ++s) {
     const SectionDesc& desc = header.sections[s];
@@ -290,7 +334,8 @@ Result<SnapshotHeader> ParseHeader(const std::byte* data, size_t size,
     }
     const bool data_dependent =
         s == kSectionEntries || s == kSectionGroups ||
-        (compressed && (s == kSectionBlob || s == kSectionDict));
+        (compressed && (s == kSectionBlob || s == kSectionDict)) ||
+        (sliced && (s == kSectionSliceDict || s == kSectionSlicePairs));
     if (!data_dependent && desc.element_count != expected_counts[s]) {
       return Status::Corruption("snapshot section count mismatch in " + path);
     }
@@ -307,6 +352,7 @@ SnapshotInfo InfoFromHeader(const SnapshotHeader& header) {
   info.has_order = (header.flags & kFlagHasOrder) != 0;
   info.has_parents = (header.flags & kFlagHasParents) != 0;
   info.compressed = (header.flags & kFlagCompressed) != 0;
+  info.sliced = (header.flags & kFlagSliced) != 0;
   info.header_crc = header.header_crc;
   return info;
 }
@@ -325,7 +371,9 @@ std::span<const T> SectionSpan(const std::byte* base,
 /// snapshot — with the offset arrays rebased so the file stands alone.
 /// Entry and group payloads are written as direct slices; HubGroup.begin is
 /// already vertex-relative, so no rewrite is needed there. `parents`, when
-/// non-empty, is the whole set's per-entry array.
+/// non-empty, is the whole set's per-entry array. A flat write without
+/// parents stores the range sliced when that form is lossless and no
+/// larger (SlicedLabelSet::FromFlatIfNoLarger).
 Status WriteRange(const std::string& path, const FlatLabelSet& flat,
                   uint64_t begin, uint64_t end, const VertexOrder* order,
                   std::span<const Vertex> parents,
@@ -367,13 +415,14 @@ Status WriteRange(const std::string& path, const FlatLabelSet& flat,
   const SectionData order_section = {
       order != nullptr ? order->by_rank().data() : nullptr,
       order != nullptr ? order->size() : 0};
+  // The range as a self-contained label set: a temporary FlatLabelSet over
+  // the rebased arrays. The spans only live for this function — the
+  // compressed and sliced builders copy what they keep, and each gets its
+  // own dictionary.
+  const FlatLabelSet range = FlatLabelSet::FromExternal(
+      local_offsets, entries, local_group_offsets, groups, nullptr);
   if (write_options.compress) {
-    // Compress the range as a self-contained label set (its own
-    // dictionary): a temporary FlatLabelSet over the rebased arrays. The
-    // spans only live for this function — FromFlat copies what it keeps.
-    const CompressedFlatLabelSet comp =
-        CompressedFlatLabelSet::FromFlat(FlatLabelSet::FromExternal(
-            local_offsets, entries, local_group_offsets, groups, nullptr));
+    const CompressedFlatLabelSet comp = CompressedFlatLabelSet::FromFlat(range);
     const SectionData sections[kNumSections] = {
         order_section,
         {comp.raw_offsets().data(), comp.raw_offsets().size()},
@@ -384,8 +433,33 @@ Status WriteRange(const std::string& path, const FlatLabelSet& flat,
         {comp.raw_comp_offsets().data(), comp.raw_comp_offsets().size()},
         {comp.raw_blob().data(), comp.raw_blob().size()},
         {comp.raw_dictionary().data(), comp.raw_dictionary().size()},
+        {nullptr, 0},
+        {nullptr, 0},
+        {nullptr, 0},
     };
     return WriteSnapshotFile(path, header, sections);
+  }
+  if (range_parents.empty()) {
+    if (std::optional<SlicedLabelSet> sliced =
+            SlicedLabelSet::FromFlatIfNoLarger(range)) {
+      header.flags |= kFlagSliced;
+      const SectionData sections[kNumSections] = {
+          order_section,
+          {local_offsets.data(), local_offsets.size()},
+          {nullptr, 0},
+          {local_group_offsets.data(), local_group_offsets.size()},
+          {nullptr, 0},
+          {nullptr, 0},
+          {nullptr, 0},
+          {nullptr, 0},
+          {nullptr, 0},
+          {sliced->raw_dictionary().data(), sliced->raw_dictionary().size()},
+          {sliced->raw_level_offsets().data(),
+           sliced->raw_level_offsets().size()},
+          {sliced->raw_pairs().data(), sliced->raw_pairs().size()},
+      };
+      return WriteSnapshotFile(path, header, sections);
+    }
   }
   const SectionData sections[kNumSections] = {
       order_section,
@@ -394,6 +468,9 @@ Status WriteRange(const std::string& path, const FlatLabelSet& flat,
       {local_group_offsets.data(), local_group_offsets.size()},
       {groups.data(), groups.size()},
       {range_parents.data(), range_parents.size()},
+      {nullptr, 0},
+      {nullptr, 0},
+      {nullptr, 0},
       {nullptr, 0},
       {nullptr, 0},
       {nullptr, 0},
@@ -460,7 +537,15 @@ Result<MappedSnapshot> LoadSnapshotMmap(const std::string& path,
       : options.verify_level == SnapshotVerifyLevel::kDirectory
           ? ValidateLevel::kDirectory
           : ValidateLevel::kShape;
-  if (snapshot.info.compressed) {
+  if (snapshot.info.sliced) {
+    snapshot.labels = LabelSource(SlicedLabelSet::FromExternal(
+        SectionSpan<uint64_t>(base, header.sections[kSectionOffsets]),
+        SectionSpan<uint64_t>(base, header.sections[kSectionGroupOffsets]),
+        SectionSpan<Quality>(base, header.sections[kSectionSliceDict]),
+        SectionSpan<uint64_t>(base, header.sections[kSectionSliceOffsets]),
+        SectionSpan<SlicePair>(base, header.sections[kSectionSlicePairs]),
+        mapping));
+  } else if (snapshot.info.compressed) {
     snapshot.labels = LabelSource(CompressedFlatLabelSet::FromExternal(
         SectionSpan<uint64_t>(base, header.sections[kSectionOffsets]),
         SectionSpan<uint64_t>(base, header.sections[kSectionGroupOffsets]),

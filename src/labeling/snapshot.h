@@ -21,6 +21,7 @@
 //                  offsets (u64, n_range+1)   entries (12-byte LabelEntry)
 //                  group_offsets (u64)        groups (8-byte HubGroup)
 //                  parents (u32 Vertex, one per entry; version 2 only)
+//                  later versions' sections (see the history below)
 // The header carries a CRC-32C of itself and one per section. The header
 // CRC is always verified on load; section CRCs only under
 // `verify_checksums` (a full-file read would defeat lazy paging).
@@ -34,12 +35,24 @@
 // dictionary (f32). A compressed snapshot keeps the logical offsets and
 // group_offsets sections populated (per-vertex counts without a decode)
 // but writes EMPTY entries and groups sections — the blob replaces them.
-// Writers emit the smallest version that can carry the payload (v1 with
-// neither parents nor compression, v2 with parents only), so old files
-// stay byte-identical and old readers of them keep working. Readers accept
-// all three versions and hand either storage back as one LabelSource
-// (labeling/label_source.h); info.has_parents / info.compressed let callers
-// report the serving mode instead of silently degrading.
+// v4 appends three sections for the LEVEL-SLICED labels
+// (labeling/sliced_labels.h) and sets kFlagSliced: the slice dictionary
+// (f32, the distinct entry qualities ascending, +inf included), the
+// per-level offsets (u64, one n_range+1 row per level) and the per-level
+// pairs (packed u32 hub + u32 dist). Like v3 it keeps the logical offsets
+// and group_offsets populated and writes EMPTY entries and groups
+// sections; it never carries parents or compressed sections.
+// Writers emit the smallest version that can carry the payload, so old
+// files stay byte-identical and old readers of them keep working:
+//   * compress requested: v3;
+//   * parents present: v2;
+//   * otherwise v4 when the sliced form is lossless and its bytes are no
+//     more than the flat arrays' (SlicedLabelSet::FromFlatIfNoLarger —
+//     a rule of the data, not an option), else v1.
+// Readers accept v1–v4 and hand any storage back as one LabelSource
+// (labeling/label_source.h); info.has_parents / info.compressed /
+// info.sliced let callers report the serving mode instead of silently
+// degrading.
 
 #ifndef WCSD_LABELING_SNAPSHOT_H_
 #define WCSD_LABELING_SNAPSHOT_H_
@@ -59,9 +72,9 @@ namespace wcsd {
 
 /// Newest snapshot format version. Bump on any layout change; readers
 /// reject versions they do not know with a clean Status. Writers emit the
-/// smallest version that can represent the payload (v1 without parents or
-/// compression, v2 with parents only), so old fixtures stay byte-stable.
-inline constexpr uint32_t kSnapshotVersion = 3;
+/// smallest version that can represent the payload (see the history
+/// above), so old fixtures stay byte-stable.
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 /// Snapshot header metadata surfaced to callers.
 struct SnapshotInfo {
@@ -82,6 +95,10 @@ struct SnapshotInfo {
   /// (labeling/compressed_flat.h); MappedSnapshot::labels then decodes
   /// per vertex.
   bool compressed = false;
+  /// True when the file stores labels in the level-sliced v4 sections
+  /// (labeling/sliced_labels.h); MappedSnapshot::labels then serves Query+
+  /// as a two-array merge and rebuilds per vertex for everything else.
+  bool sliced = false;
   /// The header's self-CRC — a cheap identity for the whole file (the
   /// header embeds every section's CRC). Shard manifests record it to
   /// detect a swapped or regenerated shard file without reading payloads.
@@ -154,7 +171,9 @@ struct SnapshotWriteOptions {
 /// WcIndex::LoadMmap can restore rank lookups; pass nullptr for a
 /// label-only snapshot (servable through QueryEngine::OpenMmap or raw views).
 /// `parents`, when non-empty, must hold exactly one parent vertex per flat
-/// entry (same order) and is written as the v2 parents section.
+/// entry (same order) and is written as the v2 parents section. Without
+/// parents or compression the labels are written sliced (v4) when that
+/// form is lossless and no larger, flat (v1) otherwise.
 Status WriteSnapshot(const std::string& path, const FlatLabelSet& flat,
                      const VertexOrder* order,
                      std::span<const Vertex> parents = {},
@@ -166,7 +185,8 @@ Status WriteSnapshot(const std::string& path, const FlatLabelSet& flat,
 /// `parents`, when non-empty, is the FULL index's per-entry parent array;
 /// the shard's slice is written alongside its entries. Under
 /// `write_options.compress` each shard is compressed independently (its
-/// own dictionary), so shard files remain self-contained.
+/// own dictionary), so shard files remain self-contained; the sliced-or-
+/// flat choice is likewise made per shard.
 Status WriteSnapshotShard(const std::string& path, const FlatLabelSet& flat,
                           uint64_t begin, uint64_t end,
                           uint64_t num_vertices_total,

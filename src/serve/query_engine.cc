@@ -268,6 +268,25 @@ Result<QueryEngine> QueryEngine::OpenManifest(
   return engine;
 }
 
+std::string QueryEngine::LabelForms() const {
+  size_t counts[3] = {0, 0, 0};
+  size_t kinds = 0;
+  for (const Shard& shard : shards_) {
+    if (shard.quarantined) continue;
+    if (counts[static_cast<size_t>(shard.labels.form())]++ == 0) ++kinds;
+  }
+  std::string out;
+  for (LabelForm form :
+       {LabelForm::kFlat, LabelForm::kSliced, LabelForm::kCompressed}) {
+    const size_t count = counts[static_cast<size_t>(form)];
+    if (count == 0) continue;
+    if (!out.empty()) out += ", ";
+    if (kinds > 1) out += std::to_string(count) + " ";
+    out += LabelFormName(form);
+  }
+  return out;
+}
+
 std::vector<ShardBalanceEntry> QueryEngine::ShardBalance() const {
   std::vector<ShardBalanceEntry> balance;
   if (index_ != nullptr) return balance;
@@ -311,11 +330,12 @@ Distance QueryEngine::QueryNoStats(Vertex s, Vertex t, Quality w) const {
       return QueryFlatMergeWithInterval(ViewOf(s, &ls), ViewOf(t, &lt), w);
     });
   }
-  if (decode_cache_ == nullptr) {
-    // Straight to the two sources' merge (which streams two compressed
-    // labels instead of materializing either).
-    const Shard& a = ShardOf(s);
-    const Shard& b = ShardOf(t);
+  const Shard& a = ShardOf(s);
+  const Shard& b = ShardOf(t);
+  if (decode_cache_ == nullptr ||
+      (!a.labels.compressed() && !b.labels.compressed())) {
+    // Straight to the two sources' merge (two sliced labels merge their
+    // level arrays; two compressed ones stream instead of materializing).
     return QueryMerge(a.labels, static_cast<Vertex>(s - a.begin), b.labels,
                       static_cast<Vertex>(t - b.begin), w, &ls, &lt);
   }

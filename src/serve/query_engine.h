@@ -20,7 +20,7 @@
 // query routes its endpoints through the same shard lookup, so one process
 // can serve an index whose snapshots it would not want to hold as a single
 // file, and each shard is one LabelSource (labeling/label_source.h) over
-// whatever its file carries, flat or compressed.
+// whatever its file carries, flat, sliced or compressed.
 //
 // Degraded mode: OpenManifest can optionally quarantine a shard that is
 // missing or corrupt instead of failing the whole open. The engine then
@@ -255,6 +255,11 @@ class QueryEngine {
   /// mixed shard sets are fine — each shard serves whatever its file
   /// carries).
   bool compressed() const { return num_compressed_ > 0; }
+
+  /// The label forms served, for reports: "flat", "sliced" or
+  /// "compressed" when every healthy shard agrees, else counts such as
+  /// "1 flat, 2 sliced".
+  std::string LabelForms() const;
 
   /// True for engines over a WcIndex (the constructor and Open); index()
   /// is only callable then.

@@ -1,5 +1,5 @@
 // Compressed flat backend tests: exact round trips through FromFlat /
-// Decompress, per-vertex streaming decode, the streaming merge kernel's
+// LabelSource::Materialize, per-vertex streaming decode, the streaming merge kernel's
 // bit-identity to the flat kernels, validation tiers, the LabelSource seam
 // over flat and compressed twins, the v3 snapshot format (including its
 // corruption corpus), compressed shard sets, and the cold-tier
@@ -65,7 +65,7 @@ TEST(CompressedFlat, RoundTripIsExact) {
     EXPECT_EQ(compressed.NumVertices(), flat.NumVertices());
     EXPECT_EQ(compressed.TotalEntries(), flat.raw_entries().size());
     EXPECT_EQ(compressed.TotalGroups(), flat.raw_groups().size());
-    auto decompressed = compressed.Decompress();
+    auto decompressed = LabelSource(compressed).Materialize();
     ASSERT_TRUE(decompressed.ok()) << decompressed.status().ToString();
     EXPECT_EQ(decompressed.value(), flat) << "seed " << seed;
   }

@@ -23,6 +23,10 @@
 //     networked path serves the same mmap engine through a real socket),
 //     and a second round trip over the cold-tier engine,
 //   * the ConstrainedDijkstra ground truth on the raw graph.
+// The level-sliced form gets its own two suites below: in memory on every
+// fuzz graph against the flat labels, and as v4 snapshots (a whole road
+// index, and a planned shard set mixing sliced and flat shards) through
+// the engine.
 // Builds alternate between the sequential and the rank-batched parallel
 // pipeline, so construction is fuzzed too (and races surface under the
 // TSan CI job, which runs this suite).
@@ -36,6 +40,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -48,6 +54,8 @@
 #include "core/wc_index.h"
 #include "graph/builder.h"
 #include "labeling/delta.h"
+#include "labeling/label_source.h"
+#include "labeling/query.h"
 #include "graph/generators.h"
 #include "labeling/shard_manifest.h"
 #include "labeling/shard_plan.h"
@@ -893,6 +901,326 @@ TEST(DifferentialFuzz, LiveUpdateMatchesFreshRebuild) {
       Quality w = static_cast<Quality>(probe.NextInRange(1, kLevels));
       ASSERT_EQ(replayed.Query(s, t, w), live.Query(s, t, w))
           << "seed=" << seed << " " << s << "->" << t << " w=" << w;
+    }
+  }
+}
+
+// The level-sliced form (labeling/sliced_labels.h), built in memory on
+// every fuzz graph whatever the snapshot writer would pick: Query+ through
+// the two-array merge, every reader that gets the label rebuilt (interval,
+// profile, WithHub, top-k), mixed sliced x flat pairs, Materialize and the
+// content fingerprint must all equal the flat labels'. The pinned
+// constraints cover NaN, both infinities, a value between two levels, one
+// below the lowest and one above the top finite level.
+TEST(DifferentialFuzz, SlicedFormMatchesFlat) {
+  constexpr size_t kGraphsPerFamily = 9;
+  constexpr size_t kTriplesPerGraph = 40;
+  const Quality kPinned[] = {std::numeric_limits<Quality>::quiet_NaN(),
+                             -kInfQuality,
+                             kInfQuality,
+                             2.5f,
+                             0.5f,
+                             -3.0f,
+                             6.5f,
+                             1.0f,
+                             6.0f};
+  for (size_t family = 0; family < 4; ++family) {
+    for (size_t gi = 0; gi < kGraphsPerFamily; ++gi) {
+      const uint64_t seed = 1000 * family + gi + 1;
+      const QualityGraph g = MakeFuzzGraph(family, seed);
+      const size_t n = g.NumVertices();
+      WcIndexOptions options = WcIndexOptions::Plus();
+      options.num_threads = gi % 2 == 0 ? 1 : 3;
+      WcIndex index = WcIndex::Build(g, options);
+      index.Finalize();
+      const FlatLabelSet& flat = index.flat_labels();
+      auto sliced_set = SlicedLabelSet::FromFlat(flat);
+      ASSERT_TRUE(sliced_set.ok()) << sliced_set.status().ToString()
+                                   << " family=" << kFamilies[family]
+                                   << " seed=" << seed;
+      const LabelSource flat_src(flat);
+      const LabelSource sliced(std::move(sliced_set).value());
+      ASSERT_EQ(sliced.form(), LabelForm::kSliced);
+      ASSERT_TRUE(sliced.Validate(ValidateLevel::kDeep).ok());
+      auto materialized = sliced.Materialize();
+      ASSERT_TRUE(materialized.ok());
+      ASSERT_EQ(materialized.value(), flat) << "seed=" << seed;
+      ASSERT_EQ(sliced.ContentFingerprint(), IndexContentFingerprint(flat));
+      ASSERT_EQ(sliced.TotalEntries(), flat.TotalEntries());
+      ASSERT_EQ(sliced.TotalGroups(), flat.raw_groups().size());
+      ASSERT_EQ(sliced.UncompressedBytes(), flat.MemoryBytes());
+
+      Rng rng(seed ^ 0x511cedu);
+      DecodedLabel a, b, c, d;
+      auto check = [&](Vertex s, Vertex t, Quality w) -> std::string {
+        std::ostringstream out;
+        out << "family=" << kFamilies[family] << " seed=" << seed
+            << " s=" << s << " t=" << t << " w=" << w << ": ";
+        const FlatLabelView fs = flat.View(s), ft = flat.View(t);
+        const Distance want = QueryFlatMerge(fs, ft, w);
+        if (QueryMerge(sliced, s, sliced, t, w, &a, &b) != want) {
+          return out.str() + "sliced merge";
+        }
+        if (QueryMerge(sliced, s, flat_src, t, w, &a, &b) != want ||
+            QueryMerge(flat_src, s, sliced, t, w, &a, &b) != want) {
+          return out.str() + "mixed sliced x flat merge";
+        }
+        const FlatLabelView vs = sliced.View(s, &c), vt = sliced.View(t, &d);
+        if (!(QueryFlatMergeWithInterval(vs, vt, w) ==
+              QueryFlatMergeWithInterval(fs, ft, w))) {
+          return out.str() + "interval";
+        }
+        const HubQueryResult hub_got = QueryFlatMergeWithHub(vs, vt, w);
+        const HubQueryResult hub_want = QueryFlatMergeWithHub(fs, ft, w);
+        if (hub_got.dist != hub_want.dist ||
+            hub_got.via_hub != hub_want.via_hub ||
+            hub_got.dist_from_s != hub_want.dist_from_s ||
+            hub_got.dist_to_t != hub_want.dist_to_t) {
+          return out.str() + "with-hub";
+        }
+        for (QueryImpl impl : {QueryImpl::kScan, QueryImpl::kHubGrouped,
+                               QueryImpl::kBinary}) {
+          if (QueryFlat(vs, vt, w, impl) != QueryFlat(fs, ft, w, impl)) {
+            return out.str() + "ablation impl over rebuilt views";
+          }
+        }
+        return "";
+      };
+      for (size_t qi = 0; qi < kTriplesPerGraph; ++qi) {
+        const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
+        const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
+        const Quality w =
+            qi < std::size(kPinned)
+                ? kPinned[qi]
+                : static_cast<Quality>(rng.NextInRange(0, 6)) +
+                      (rng.NextBool(0.3) ? 0.5f : 0.0f);
+        const std::string mismatch = check(s, t, w);
+        ASSERT_TRUE(mismatch.empty()) << mismatch;
+        // s == t goes through the kernels too (the engines shortcut it).
+        const std::string self = check(s, s, w);
+        ASSERT_TRUE(self.empty()) << self;
+      }
+
+      // Profile and top-k over the rebuilt labels.
+      const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
+      const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
+      std::vector<Quality> thresholds(std::begin(kPinned) + 1,
+                                      std::end(kPinned));
+      auto profile = [&](const LabelSource& src) {
+        return QualityProfileOverIntervals(
+            std::span<const Quality>(thresholds), [&](Quality w) {
+              return QueryFlatMergeWithInterval(src.View(s, &a),
+                                                src.View(t, &b), w);
+            });
+      };
+      const auto want_profile = profile(flat_src);
+      const auto got_profile = profile(sliced);
+      ASSERT_EQ(got_profile.size(), want_profile.size());
+      for (size_t j = 0; j < got_profile.size(); ++j) {
+        EXPECT_EQ(got_profile[j].dist, want_profile[j].dist)
+            << "profile seed=" << seed << " w=" << thresholds[j];
+      }
+      std::vector<Vertex> candidates;
+      for (size_t i = 0; i < 8; ++i) {
+        candidates.push_back(static_cast<Vertex>(rng.NextBounded(n)));
+      }
+      for (Quality w : {1.0f, 2.5f, 4.0f}) {
+        auto topk = [&](const LabelSource& src) {
+          return TopKClosestOverLabels(
+              n, s, candidates, w, 5,
+              [&](Vertex v) { return src.View(v, &c).entries; });
+        };
+        const auto want_topk = topk(flat_src);
+        const auto got_topk = topk(sliced);
+        ASSERT_EQ(got_topk.size(), want_topk.size()) << "seed=" << seed;
+        for (size_t i = 0; i < got_topk.size(); ++i) {
+          EXPECT_EQ(got_topk[i].vertex, want_topk[i].vertex);
+          EXPECT_EQ(got_topk[i].dist, want_topk[i].dist);
+        }
+      }
+    }
+  }
+}
+
+// Road graph whose vertices [road_n, road_n + social_n) hold a scale-free
+// component with real-valued qualities, bridged to the grid by one
+// quality-1 edge. The grid's labels keep the few integer levels (any path
+// over the bridge has quality <= 1), so its ranges slice smaller than
+// flat; the scale-free ranges carry hundreds of distinct qualities and
+// stay flat.
+QualityGraph MakeMixedFormGraph(size_t side, size_t social_n, uint64_t seed) {
+  RoadOptions road;
+  road.rows = road.cols = side;
+  road.quality.num_levels = 5;
+  const QualityGraph grid = GenerateRoadNetwork(road, seed);
+  QualityModel quality;
+  const QualityGraph social =
+      GenerateBarabasiAlbert(social_n, 3, quality, seed + 1);
+  const Vertex offset = static_cast<Vertex>(grid.NumVertices());
+  GraphBuilder builder(grid.NumVertices() + social.NumVertices());
+  for (const auto& [u, v, q] : EdgesOf(grid)) builder.AddEdge(u, v, q);
+  Rng rng(seed * 31 + 7);
+  for (const auto& [u, v, q] : EdgesOf(social)) {
+    builder.AddEdge(offset + u, offset + v,
+                    1.0f + static_cast<Quality>(rng.NextInRange(0, 4000)) /
+                               1000.0f);
+  }
+  builder.AddEdge(0, offset, 1.0f);
+  return builder.Build();
+}
+
+// Snapshots the writer rule stores sliced (v4), served end to end: a whole
+// road snapshot through QueryEngine::Open, and a planned shard set whose
+// shards mix sliced and flat, against the in-memory flat engine and
+// ConstrainedDijkstra.
+TEST(DifferentialFuzz, SlicedSnapshotsServeLikeFlat) {
+  const std::string dir = testing::TempDir();
+  for (uint64_t seed : {3u, 17u}) {
+    const QualityGraph g = MakeMixedFormGraph(20, 120, seed);
+    const size_t n = g.NumVertices();
+    WcIndexOptions options = WcIndexOptions::Plus();
+    WcIndex index = WcIndex::Build(g, options);
+    index.Finalize();
+    QueryEngineOptions serve;
+    serve.num_threads = 2;
+    serve.graph = std::make_shared<const QualityGraph>(g);
+    const auto reference =
+        std::make_shared<const WcIndex>(index);  // flat, in memory
+    const QueryEngine flat_engine(reference, serve);
+
+    // A pure road graph of the same grid: the whole file is sliced.
+    RoadOptions road;
+    road.rows = road.cols = 20;
+    road.quality.num_levels = 5;
+    const QualityGraph grid = GenerateRoadNetwork(road, seed);
+    WcIndex grid_index = WcIndex::Build(grid, options);
+    grid_index.Finalize();
+    const std::string full =
+        dir + "/fuzz_sliced_" + std::to_string(seed) + ".wcsnap";
+    ASSERT_TRUE(grid_index.SaveSnapshot(full).ok());
+    auto info = ReadSnapshotInfo(full);
+    ASSERT_TRUE(info.ok());
+    ASSERT_TRUE(info.value().sliced) << "seed=" << seed;
+    ASSERT_EQ(info.value().version, 4u);
+    QueryEngineOptions grid_serve = serve;
+    grid_serve.graph = std::make_shared<const QualityGraph>(grid);
+    auto grid_engine = QueryEngine::Open(full, grid_serve);
+    ASSERT_TRUE(grid_engine.ok()) << grid_engine.status().ToString();
+    ASSERT_EQ(grid_engine.value().LabelForms(), "sliced");
+    QueryEngineOptions cached_serve = grid_serve;
+    cached_serve.cache_bytes = 8 << 10;
+    auto grid_cached = QueryEngine::Open(full, cached_serve);
+    ASSERT_TRUE(grid_cached.ok());
+    EXPECT_EQ(grid_cached.value().cache_fingerprint(),
+              IndexContentFingerprint(grid_index.flat_labels()));
+
+    // The mixed planned shard set, checksums and fingerprint verified.
+    ShardPlanOptions plan_options;
+    plan_options.num_shards = 3;
+    auto plan = PlanShards(index.flat_labels(), plan_options);
+    ASSERT_TRUE(plan.ok());
+    auto written = WriteShardSet(dir + "/fuzz_mixed_" + std::to_string(seed),
+                                 index.flat_labels(), plan.value());
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    size_t sliced_shards = 0, flat_shards = 0;
+    for (const std::string& path : written.value().shard_paths) {
+      auto shard_info = ReadSnapshotInfo(path);
+      ASSERT_TRUE(shard_info.ok());
+      ++(shard_info.value().sliced ? sliced_shards : flat_shards);
+    }
+    ASSERT_GT(sliced_shards, 0u) << "seed=" << seed;
+    ASSERT_GT(flat_shards, 0u) << "seed=" << seed;
+    SnapshotLoadOptions verify;
+    verify.verify_checksums = true;
+    verify.verify_level = SnapshotVerifyLevel::kDeep;
+    auto mixed = QueryEngine::OpenManifest(written.value().manifest_path,
+                                           serve, verify);
+    ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+    EXPECT_NE(mixed.value().LabelForms().find("sliced"), std::string::npos);
+
+    Rng rng(seed * 0x9e37u);
+    std::vector<BatchQueryInput> batch, grid_batch;
+    for (size_t qi = 0; qi < 300; ++qi) {
+      const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
+      const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
+      const Quality w = static_cast<Quality>(rng.NextInRange(0, 6)) +
+                        (rng.NextBool(0.3) ? 0.5f : 0.0f);
+      batch.push_back({s, t, w});
+      const Vertex gs = s % static_cast<Vertex>(grid.NumVertices());
+      const Vertex gt = t % static_cast<Vertex>(grid.NumVertices());
+      grid_batch.push_back({gs, gt, w});
+      ASSERT_EQ(mixed.value().Query(s, t, w), flat_engine.Query(s, t, w))
+          << "seed=" << seed << " " << s << "->" << t << " w=" << w;
+      const Distance grid_want = grid_index.Query(gs, gt, w);
+      ASSERT_EQ(grid_engine.value().Query(gs, gt, w), grid_want);
+      ASSERT_EQ(grid_cached.value().Query(gs, gt, w), grid_want);
+      ASSERT_EQ(grid_cached.value().Query(gs, gt, w), grid_want);
+      if (qi % 10 == 0) {
+        ASSERT_EQ(grid_want, ConstrainedDijkstraUnit(grid, gs, gt, w));
+        ASSERT_EQ(flat_engine.Query(s, t, w),
+                  ConstrainedDijkstraUnit(g, s, t, w));
+      }
+    }
+    for (Quality w : {std::numeric_limits<Quality>::quiet_NaN(),
+                      -kInfQuality, kInfQuality, 0.5f, 5.5f}) {
+      for (size_t i = 0; i < 20; ++i) {
+        const Vertex s = batch[i].s, t = batch[i].t;
+        ASSERT_EQ(mixed.value().Query(s, t, w), flat_engine.Query(s, t, w));
+        const Vertex gs = grid_batch[i].s, gt = grid_batch[i].t;
+        ASSERT_EQ(grid_engine.value().Query(gs, gt, w),
+                  grid_index.Query(gs, gt, w));
+      }
+    }
+    ASSERT_EQ(mixed.value().Batch(batch), flat_engine.Batch(batch));
+    std::vector<Distance> grid_expected;
+    for (const BatchQueryInput& q : grid_batch) {
+      grid_expected.push_back(grid_index.Query(q.s, q.t, q.w));
+    }
+    ASSERT_EQ(grid_engine.value().Batch(grid_batch), grid_expected);
+
+    // The families: top-k, profile and path through the sliced layers.
+    const std::vector<Quality> thresholds = {0.5f, 1.0f, 1.5f, 2.0f, 3.0f,
+                                             4.5f, 5.0f, 6.0f};
+    for (size_t i = 0; i < 10; ++i) {
+      const Vertex s = batch[i].s, t = batch[i].t;
+      const Quality w = batch[i].w;
+      std::vector<Vertex> candidates;
+      for (size_t j = 0; j < 6; ++j) candidates.push_back(batch[i + j].t);
+      std::vector<RankedCandidate> want_topk, got_topk;
+      ASSERT_EQ(flat_engine.TopKEx(s, candidates, w, 4, &want_topk),
+                ServeOutcome::kOk);
+      ASSERT_EQ(mixed.value().TopKEx(s, candidates, w, 4, &got_topk),
+                ServeOutcome::kOk);
+      ASSERT_EQ(got_topk.size(), want_topk.size());
+      for (size_t j = 0; j < got_topk.size(); ++j) {
+        EXPECT_EQ(got_topk[j].vertex, want_topk[j].vertex);
+        EXPECT_EQ(got_topk[j].dist, want_topk[j].dist);
+      }
+      std::vector<ProfilePoint> want_profile, got_profile;
+      ASSERT_EQ(flat_engine.ProfileEx(s, t, thresholds, &want_profile),
+                ServeOutcome::kOk);
+      ASSERT_EQ(mixed.value().ProfileEx(s, t, thresholds, &got_profile),
+                ServeOutcome::kOk);
+      ASSERT_EQ(got_profile.size(), want_profile.size());
+      for (size_t j = 0; j < got_profile.size(); ++j) {
+        EXPECT_EQ(got_profile[j].dist, want_profile[j].dist);
+      }
+      const Vertex gs = grid_batch[i].s, gt = grid_batch[i].t;
+      std::vector<Vertex> route;
+      ASSERT_EQ(grid_engine.value().PathEx(gs, gt, w, &route),
+                ServeOutcome::kOk);
+      const Distance truth = ConstrainedDijkstraUnit(grid, gs, gt, w);
+      if (truth == kInfDistance) {
+        EXPECT_TRUE(route.empty());
+      } else {
+        EXPECT_EQ(route.size(), static_cast<size_t>(truth) + 1);
+        EXPECT_TRUE(IsValidWPath(grid, route, w));
+      }
+    }
+    std::remove(full.c_str());
+    std::remove(written.value().manifest_path.c_str());
+    for (const std::string& p : written.value().shard_paths) {
+      std::remove(p.c_str());
     }
   }
 }

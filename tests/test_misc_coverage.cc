@@ -13,6 +13,7 @@
 #include "graph/io.h"
 #include "graph/subgraph.h"
 #include "labeling/compressed_flat.h"
+#include "labeling/label_source.h"
 #include "order/hybrid_order.h"
 #include "order/tree_decomposition.h"
 #include "paper_fixtures.h"
@@ -162,7 +163,7 @@ TEST(CompressedCorners, FractionalQualityDictionary) {
   index.Finalize();
   CompressedFlatLabelSet compressed =
       CompressedFlatLabelSet::FromFlat(index.flat_labels());
-  auto decompressed = compressed.Decompress();
+  auto decompressed = LabelSource(compressed).Materialize();
   ASSERT_TRUE(decompressed.ok()) << decompressed.status().ToString();
   EXPECT_EQ(decompressed.value(), index.flat_labels());
   EXPECT_EQ(QueryCompressedMerge(compressed, 0, compressed, 2, 0.125f),

@@ -1,19 +1,27 @@
 // Snapshot format tests: mmap round trips, shard slicing, and the negative
 // paths — truncation, bad magic, wrong version, header and section
 // corruption must all fail with a clean Status, never a crash or a silent
-// wrong answer.
+// wrong answer — for every format version, the v4 level-sliced sections
+// included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/wc_index.h"
 #include "graph/generators.h"
+#include "labeling/shard_manifest.h"
+#include "labeling/sliced_labels.h"
 #include "labeling/snapshot.h"
 #include "paper_fixtures.h"
+#include "util/checksum.h"
 #include "util/random.h"
 
 namespace wcsd {
@@ -466,6 +474,361 @@ TEST(Snapshot, ParentsCorruptionCaughtUnderVerify) {
   auto checked = WcIndex::LoadMmap(path, verify);
   EXPECT_FALSE(checked.ok());
   EXPECT_EQ(checked.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------ v4 level-sliced sections
+
+// A road graph whose slices are smaller than its flat labels, so the
+// writer stores it as v4.
+WcIndex BuildSlicedIndex() {
+  RoadOptions road;
+  road.rows = road.cols = 16;
+  road.quality.num_levels = 5;
+  QualityGraph g = GenerateRoadNetwork(road, 1);
+  WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
+  index.Finalize();
+  return index;
+}
+
+// Section ids and the v4 header layout (labeling/snapshot.cc): a 48-byte
+// prefix, then 12 32-byte section descriptors, then the header CRC.
+constexpr size_t kSliceDictSection = 9;
+constexpr size_t kSliceOffsetsSection = 10;
+constexpr size_t kSlicePairsSection = 11;
+constexpr size_t kV4HeaderCrcAt = 48 + 12 * 32;
+
+uint64_t SectionFileOffset(const std::string& bytes, size_t section) {
+  uint64_t offset;
+  std::memcpy(&offset, bytes.data() + 48 + 32 * section, sizeof(offset));
+  return offset;
+}
+
+template <typename T>
+T ReadAt(const std::string& bytes, size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void WriteAt(std::string* bytes, size_t at, T value) {
+  std::memcpy(bytes->data() + at, &value, sizeof(T));
+}
+
+Status LoadAt(const std::string& path, SnapshotVerifyLevel level) {
+  SnapshotLoadOptions options;
+  options.verify_level = level;
+  return LoadSnapshotMmap(path, options).status();
+}
+
+TEST(SlicedSnapshot, WriterRulePicksTheForm) {
+  WcIndex road = BuildSlicedIndex();
+  const FlatLabelSet& flat = road.flat_labels();
+  ASSERT_TRUE(SlicedLabelSet::FromFlatIfNoLarger(flat).has_value());
+  std::string path = TempPath("sliced.wcsnap");
+  ASSERT_TRUE(road.SaveSnapshot(path).ok());
+  auto info = ReadSnapshotInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info.value().version, 4u);
+  EXPECT_TRUE(info.value().sliced);
+  EXPECT_FALSE(info.value().compressed);
+  EXPECT_FALSE(info.value().has_parents);
+
+  // compress wins over the rule: v3; back again gives the v4 bytes.
+  std::string packed = TempPath("sliced_c.wcsnap");
+  SnapshotWriteOptions compress;
+  compress.compress = true;
+  ASSERT_TRUE(road.SaveSnapshot(packed, compress).ok());
+  EXPECT_EQ(ReadSnapshotInfo(packed).value().version, 3u);
+  auto reloaded = WcIndex::LoadMmap(packed);
+  ASSERT_TRUE(reloaded.ok());
+  std::string again = TempPath("sliced_again.wcsnap");
+  ASSERT_TRUE(reloaded.value().SaveSnapshot(again).ok());
+  EXPECT_EQ(ReadFileBytes(again), ReadFileBytes(path));
+
+  // Parents keep the flat entry array they align with: v2.
+  QualityGraph g = MakeFigure3Graph();
+  WcIndexOptions with_parents = WcIndexOptions::Plus();
+  with_parents.record_parents = true;
+  RoadOptions road_options;
+  road_options.rows = road_options.cols = 16;
+  road_options.quality.num_levels = 5;
+  WcIndex quads = WcIndex::Build(GenerateRoadNetwork(road_options, 1),
+                                 with_parents);
+  quads.Finalize();
+  std::string v2 = TempPath("sliced_parents.wcsnap");
+  ASSERT_TRUE(quads.SaveSnapshot(v2).ok());
+  EXPECT_EQ(ReadSnapshotInfo(v2).value().version, 2u);
+
+  // Labels whose slices would be larger stay v1.
+  WcIndex fig3 = WcIndex::Build(g);
+  fig3.Finalize();
+  EXPECT_FALSE(
+      SlicedLabelSet::FromFlatIfNoLarger(fig3.flat_labels()).has_value());
+  std::string v1 = TempPath("fig3_flat.wcsnap");
+  ASSERT_TRUE(fig3.SaveSnapshot(v1).ok());
+  EXPECT_EQ(ReadSnapshotInfo(v1).value().version, 1u);
+  for (const std::string& p : {path, packed, again, v2, v1}) {
+    std::remove(p.c_str());
+  }
+}
+
+TEST(SlicedSnapshot, MmapRoundTripIsBitIdentical) {
+  WcIndex index = BuildSlicedIndex();
+  std::string path = TempPath("sliced_round.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  SnapshotLoadOptions verify;
+  verify.verify_checksums = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
+  auto loaded = WcIndex::LoadMmap(path, verify);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const WcIndex& mm = loaded.value();
+  const LabelSource& source = mm.label_source();
+  EXPECT_EQ(source.form(), LabelForm::kSliced);
+  EXPECT_TRUE(source.external());
+  EXPECT_EQ(source.TotalEntries(), index.TotalEntries());
+  EXPECT_LT(source.MemoryBytes(), index.flat_labels().MemoryBytes());
+  EXPECT_EQ(source.UncompressedBytes(), index.flat_labels().MemoryBytes());
+  EXPECT_EQ(mm.ContentFingerprint(),
+            IndexContentFingerprint(index.flat_labels()));
+  auto materialized = source.Materialize();
+  ASSERT_TRUE(materialized.ok());
+  EXPECT_EQ(materialized.value(), index.flat_labels());
+  Rng rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    const Vertex s = static_cast<Vertex>(rng.NextBounded(256));
+    const Vertex t = static_cast<Vertex>(rng.NextBounded(256));
+    const Quality w = static_cast<Quality>(rng.NextInRange(0, 6));
+    ASSERT_EQ(mm.Query(s, t, w), index.Query(s, t, w));
+    ASSERT_EQ(mm.QueryWithInterval(s, t, w), index.QueryWithInterval(s, t, w));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SlicedSnapshot, ShardsCarryTheirOwnDictionary) {
+  WcIndex index = BuildSlicedIndex();
+  const uint64_t n = index.NumVertices();
+  std::string path = TempPath("sliced_shard.wcsnap");
+  ASSERT_TRUE(
+      WriteSnapshotShard(path, index.flat_labels(), 60, 200, n).ok());
+  SnapshotLoadOptions verify;
+  verify.verify_checksums = true;
+  verify.verify_level = SnapshotVerifyLevel::kDeep;
+  auto shard = LoadSnapshotMmap(path, verify);
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  ASSERT_TRUE(shard.value().info.sliced);
+  DecodedLabel scratch;
+  for (Vertex v = 60; v < 200; ++v) {
+    auto expected = index.flat_labels().For(v);
+    auto got = shard.value().labels.View(v - 60, &scratch).entries;
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), got.begin(),
+                           got.end()))
+        << "vertex " << v;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SlicedSnapshot, TruncationRejectedAtEveryLevel) {
+  WcIndex index = BuildSlicedIndex();
+  std::string path = TempPath("sliced_trunc.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  const size_t pairs_at = SectionFileOffset(bytes, kSlicePairsSection);
+  ASSERT_LT(pairs_at, bytes.size());
+  for (size_t keep : {size_t{100}, size_t{4096},
+                      SectionFileOffset(bytes, kSliceOffsetsSection) + 8,
+                      pairs_at + 8, bytes.size() - 1}) {
+    std::string t = TempPath("sliced_trunc_cut.wcsnap");
+    WriteFileBytes(t, bytes.substr(0, keep));
+    for (SnapshotVerifyLevel level :
+         {SnapshotVerifyLevel::kOffsets, SnapshotVerifyLevel::kDirectory,
+          SnapshotVerifyLevel::kDeep}) {
+      Status st = LoadAt(t, level);
+      EXPECT_EQ(st.code(), StatusCode::kCorruption)
+          << "kept " << keep << " bytes, level " << static_cast<int>(level);
+    }
+    std::remove(t.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SlicedSnapshot, SectionCorruptionCaughtUnderVerify) {
+  WcIndex index = BuildSlicedIndex();
+  std::string path = TempPath("sliced_crc.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  for (size_t section :
+       {kSliceDictSection, kSliceOffsetsSection, kSlicePairsSection}) {
+    std::string bytes = ReadFileBytes(path);
+    bytes[SectionFileOffset(bytes, section) + 1] ^= 0x10;
+    std::string t = TempPath("sliced_crc_flip.wcsnap");
+    WriteFileBytes(t, bytes);
+    SnapshotLoadOptions verify;
+    verify.verify_checksums = true;
+    auto checked = LoadSnapshotMmap(t, verify);
+    ASSERT_FALSE(checked.ok()) << "section " << section;
+    EXPECT_NE(checked.status().message().find("checksum"), std::string::npos);
+    std::remove(t.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+// Level offsets and the dictionary are what the kernel indexes and
+// searches with, so every load checks them — the default tier included.
+TEST(SlicedSnapshot, OffsetAndDictionaryCorruptionCaughtOnLoad) {
+  WcIndex index = BuildSlicedIndex();
+  const size_t rows = index.NumVertices() + 1;
+  std::string path = TempPath("sliced_shape.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  const std::string clean = ReadFileBytes(path);
+  const size_t offsets_at = SectionFileOffset(clean, kSliceOffsetsSection);
+  const size_t dict_at = SectionFileOffset(clean, kSliceDictSection);
+  std::vector<std::pair<const char*, std::string>> corrupt;
+  {
+    // An interior offset of level 1 past the end of the pairs.
+    std::string bytes = clean;
+    WriteAt<uint64_t>(&bytes, offsets_at + 8 * (rows + 5), ~uint64_t{0} >> 4);
+    corrupt.emplace_back("offset out of range", bytes);
+  }
+  {
+    // Level 2 does not start where level 1 ends.
+    std::string bytes = clean;
+    const uint64_t at = offsets_at + 8 * (2 * rows);
+    WriteAt<uint64_t>(&bytes, at, ReadAt<uint64_t>(bytes, at) - 1);
+    corrupt.emplace_back("levels not contiguous", bytes);
+  }
+  {
+    std::string bytes = clean;
+    const Quality q0 = ReadAt<Quality>(bytes, dict_at);
+    const Quality q1 = ReadAt<Quality>(bytes, dict_at + 4);
+    WriteAt<Quality>(&bytes, dict_at, q1);
+    WriteAt<Quality>(&bytes, dict_at + 4, q0);
+    corrupt.emplace_back("dictionary descends", bytes);
+  }
+  {
+    std::string bytes = clean;
+    WriteAt<Quality>(&bytes, dict_at + 4,
+                     std::numeric_limits<Quality>::quiet_NaN());
+    corrupt.emplace_back("dictionary NaN", bytes);
+  }
+  for (const auto& [what, bytes] : corrupt) {
+    std::string t = TempPath("sliced_shape_bad.wcsnap");
+    WriteFileBytes(t, bytes);
+    for (SnapshotVerifyLevel level :
+         {SnapshotVerifyLevel::kOffsets, SnapshotVerifyLevel::kDirectory,
+          SnapshotVerifyLevel::kDeep}) {
+      EXPECT_EQ(LoadAt(t, level).code(), StatusCode::kCorruption)
+          << what << " at level " << static_cast<int>(level);
+    }
+    std::remove(t.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+// Slice lengths are a directory-tier catch: level 0 must hold exactly one
+// pair per hub group. Moving one pair from a vertex's level-0 slice to its
+// neighbour's keeps every offset monotone and in range, so the default
+// load still maps the file.
+TEST(SlicedSnapshot, SliceLengthCorruptionCaughtAtDirectoryLevel) {
+  WcIndex index = BuildSlicedIndex();
+  std::string path = TempPath("sliced_len.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const size_t offsets_at = SectionFileOffset(bytes, kSliceOffsetsSection);
+  const size_t at = offsets_at + 8 * 6;  // level 0, row[6]
+  WriteAt<uint64_t>(&bytes, at, ReadAt<uint64_t>(bytes, at) + 1);
+  WriteFileBytes(path, bytes);
+  EXPECT_TRUE(LoadAt(path, SnapshotVerifyLevel::kOffsets).ok());
+  Status st = LoadAt(path, SnapshotVerifyLevel::kDirectory);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("slice length"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(LoadAt(path, SnapshotVerifyLevel::kDeep).code(),
+            StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+// Pair payloads are a deep-tier catch: hubs must strictly ascend within a
+// slice, and each level's hubs must be a subset of the level below's with
+// non-decreasing distance.
+TEST(SlicedSnapshot, PairCorruptionCaughtAtDeepLevel) {
+  WcIndex index = BuildSlicedIndex();
+  const SlicedLabelSet sliced =
+      SlicedLabelSet::FromFlat(index.flat_labels()).value();
+  // A vertex whose level-1 slice has >= 2 pairs.
+  Vertex v = 0;
+  while (sliced.Slice(1, v).size() < 2) ++v;
+  const auto pairs = sliced.raw_pairs();
+  const size_t first0 = static_cast<size_t>(sliced.Slice(0, v).data() -
+                                            pairs.data());
+  const size_t first1 = static_cast<size_t>(sliced.Slice(1, v).data() -
+                                            pairs.data());
+  std::string path = TempPath("sliced_pairs.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  const std::string clean = ReadFileBytes(path);
+  const size_t pairs_at = SectionFileOffset(clean, kSlicePairsSection);
+  auto hub_at = [&](size_t pair) { return pairs_at + 8 * pair; };
+  auto dist_at = [&](size_t pair) { return pairs_at + 8 * pair + 4; };
+  std::vector<std::pair<std::string, std::string>> corrupt;
+  {
+    // Swap the first two level-0 hubs: they descend.
+    std::string bytes = clean;
+    const Rank h0 = ReadAt<Rank>(bytes, hub_at(first0));
+    const Rank h1 = ReadAt<Rank>(bytes, hub_at(first0 + 1));
+    WriteAt<Rank>(&bytes, hub_at(first0), h1);
+    WriteAt<Rank>(&bytes, hub_at(first0 + 1), h0);
+    corrupt.emplace_back("hubs not ascending", bytes);
+  }
+  {
+    // A level-1 hub the level below lacks.
+    std::string bytes = clean;
+    WriteAt<Rank>(&bytes, hub_at(first1), ~Rank{0});
+    corrupt.emplace_back("level 1 not a subset", bytes);
+  }
+  {
+    // A level-1 distance below its level-0 one.
+    std::string bytes = clean;
+    const Rank hub = ReadAt<Rank>(bytes, hub_at(first1));
+    size_t below = first0;
+    while (ReadAt<Rank>(bytes, hub_at(below)) != hub) ++below;
+    const Distance d0 = ReadAt<Distance>(bytes, dist_at(below));
+    ASSERT_GT(d0 + 1, 0u);
+    WriteAt<Distance>(&bytes, dist_at(below), d0 + 1000);
+    corrupt.emplace_back("distance descends", bytes);
+  }
+  for (const auto& [what, bytes] : corrupt) {
+    std::string t = TempPath("sliced_pairs_bad.wcsnap");
+    WriteFileBytes(t, bytes);
+    EXPECT_TRUE(LoadAt(t, SnapshotVerifyLevel::kOffsets).ok()) << what;
+    EXPECT_TRUE(LoadAt(t, SnapshotVerifyLevel::kDirectory).ok()) << what;
+    EXPECT_EQ(LoadAt(t, SnapshotVerifyLevel::kDeep).code(),
+              StatusCode::kCorruption)
+        << what;
+    std::remove(t.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+// v4 exists for the sliced form alone: a header that drops the sliced
+// flag, or adds the compressed one, is refused even with a valid CRC.
+TEST(SlicedSnapshot, InconsistentV4FlagsRejected) {
+  WcIndex index = BuildSlicedIndex();
+  std::string path = TempPath("sliced_flags.wcsnap");
+  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  const std::string clean = ReadFileBytes(path);
+  const uint32_t flags = ReadAt<uint32_t>(clean, 12);
+  for (uint32_t bad : {flags & ~(1u << 3), flags | (1u << 2),
+                       flags | (1u << 1)}) {
+    std::string bytes = clean;
+    WriteAt<uint32_t>(&bytes, 12, bad);
+    WriteAt<uint32_t>(&bytes, kV4HeaderCrcAt,
+                      Crc32c(bytes.data(), kV4HeaderCrcAt));
+    WriteFileBytes(path, bytes);
+    Status st = LoadAt(path, SnapshotVerifyLevel::kOffsets);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << "flags " << bad;
+    EXPECT_NE(st.message().find("inconsistent"), std::string::npos)
+        << st.ToString();
+  }
   std::remove(path.c_str());
 }
 

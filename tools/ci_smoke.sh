@@ -7,7 +7,8 @@
 #   tools/ci_smoke.sh cli coldtier        # selected sections, in this order
 #
 # Sections (the default runs all of them, in this order):
-#   cli       build/query/verify/stats/snapshot/serve round trips, the
+#   cli       build/query/verify/stats/snapshot/serve round trips (the
+#             built road snapshot must be level-sliced, v4), the
 #             compressed snapshot + cold-tier answer-CRC equivalence, sharded
 #             serving
 #   crash     snapshot rewrite crashed at the commit point leaves the old
@@ -36,7 +37,7 @@ while [ $# -gt 0 ]; do
     --build-dir) BUILD_DIR=$2; shift 2 ;;
     --build-dir=*) BUILD_DIR=${1#*=}; shift ;;
     -h|--help)
-      sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) SECTIONS+=("$1"); shift ;;
   esac
@@ -57,8 +58,9 @@ crc_of() { sed -n 's/.*answers crc32c=\([0-9a-f]*\).*/\1/p'; }
 # Pulls the recorded base fingerprint out of a `delta` report.
 fingerprint_of() { sed -n 's/.*base fingerprint \([0-9a-f]*\).*/\1/p'; }
 
-# Base fixtures shared by every section: a small road graph, its flat
-# snapshot (what `build` writes), a compressed re-encode of it, an even
+# Base fixtures shared by every section: a small road graph, its snapshot
+# (what `build` writes: level-sliced for this graph), a compressed
+# re-encode of it, an even
 # 3-shard split, and a planned (label-mass-balanced) shard set. Idempotent.
 make_fixtures() {
   if [ ! -f ci.wcsnap ]; then
@@ -79,11 +81,21 @@ section_cli() {
   "$CLI" query --index=ci.wcsnap --s=1 --t=42 --w=2 --path --graph=ci.edges
   "$CLI" verify --graph=ci.edges --index=ci.wcsnap
   "$CLI" verify --graph=ci.edges --index=ci_c.wcsnap
-  "$CLI" stats --index=ci_c.wcsnap
-  # Decompressing the compressed re-encode gives back the built file.
+  # The road fixture's slices are smaller than its flat arrays, so `build`
+  # writes them; both stats and serve name the form they read.
+  out=$("$CLI" stats --index=ci.wcsnap)
+  echo "$out"
+  grep -qx 'label form: sliced' <<<"$out"
+  out=$("$CLI" stats --index=ci_c.wcsnap)
+  echo "$out"
+  grep -qx 'label form: compressed' <<<"$out"
+  # Decompressing the compressed re-encode gives back the built file: the
+  # writer picks the sliced form again from the same labels.
   "$CLI" snapshot --index=ci_c.wcsnap --out=ci_d.wcsnap
   cmp ci_d.wcsnap ci.wcsnap
-  "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --verify
+  out=$("$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --verify)
+  echo "$out"
+  grep -qx 'label form: sliced' <<<"$out"
   "$CLI" serve --snapshot=ci.wcsnap --queries=20000 --threads=2 --cache-mb=8
   "$CLI" serve --snapshot=ci.shard0,ci.shard1,ci.shard2 --queries=20000
   "$CLI" serve --snapshot=ci.wcsnap --verify-level=directory --queries=1000

@@ -6,8 +6,9 @@
 // Subcommands:
 //   build     --graph=<file> --index=<out> [--order=degree|tree|hybrid]
 //             [--threads=<n>] [--batch=<n>] [--format=edges|dimacs]
-//             build a WC-INDEX and write it as a flat snapshot (atomic,
-//             checksummed); --threads=0 uses all cores via the
+//             build a WC-INDEX and write it as a snapshot (atomic,
+//             checksummed; labels level-sliced when that form is lossless
+//             and no larger than flat, flat otherwise); --threads=0 uses all cores via the
 //             rank-batched parallel pipeline (identical output), --batch
 //             overrides the auto batch schedule
 //   query     --index=<snapshot> --s=<v> --t=<v> --w=<q> [--cache-mb=M]
@@ -40,8 +41,8 @@
 //             the same, from a mapped shard set (see `shard`); --path
 //             steps greedily through the graph (shards carry no parent
 //             quads); --cache-mb enables the dominance-aware result cache
-//   stats     --index=<snapshot>             label statistics (a full
-//             snapshot or one shard file)
+//   stats     --index=<snapshot>             label form and statistics
+//             (a full snapshot or one shard file)
 //   verify    --graph=<file> --index=<snapshot>
 //             brute-force Theorem 1 checks of a full snapshot's labels
 //   generate  --out=<file> --kind=road|social [--n=...] [--levels=...]
@@ -50,8 +51,9 @@
 //             re-encode a full snapshot: --compress stores the labels
 //             delta/varint-encoded (v3 sections, labeling/compressed_flat.h)
 //             — served straight off the blob, bit-identical answers, ~3x
-//             smaller at rest; without it the labels come out flat, so a
-//             compressed snapshot decompresses
+//             smaller at rest; without it the labels come out as `build`
+//             writes them (sliced or flat), so a compressed snapshot
+//             decompresses
 //   shard     --index=<snapshot> --out=<stem> (--shards=N | --max-bytes=B)
 //             [--even] [--compress]
 //             plan label-mass-balanced shard boundaries (greedy prefix-sum
@@ -642,6 +644,7 @@ int CmdStats(const Flags& flags) {
   }
   const LabelSet labels = flat.value().ToLabelSet();
   LabelStats stats = ComputeLabelStats(labels);
+  std::printf("label form: %s\n", LabelFormName(source.form()));
   std::printf("vertices: %zu\n", source.NumVertices());
   std::printf("%s\n", stats.Summary().c_str());
   std::printf("bytes: %zu\n", source.MemoryBytes());
@@ -1298,6 +1301,7 @@ int CmdServe(const Flags& flags) {
   std::printf("mapped %zu snapshot%s (%zu vertices) in %.3f ms\n",
               mapped_files, mapped_files == 1 ? "" : "s", n,
               load_seconds * 1e3);
+  std::printf("label form: %s\n", current->LabelForms().c_str());
   if (cold_tier && !compressed) {
     std::fprintf(stderr,
                  "error: --cold-tier wants a compressed snapshot (write one "
