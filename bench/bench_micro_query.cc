@@ -2,10 +2,15 @@
 // of each implementation on both label backends (vector-of-vectors vs.
 // flat CSR), plus the baselines, on a mid-size social graph; and the
 // Query+ merge of each label form (flat, level-sliced, compressed) on a
-// road graph of the perfbench road shape. Emits BENCH_micro_query.json
-// for cross-PR tracking.
+// road graph of the perfbench road shape, and the engine over that graph
+// as a compressed shard set behind a decode cache. Emits
+// BENCH_micro_query.json for cross-PR tracking.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "bench/datasets.h"
@@ -15,7 +20,11 @@
 #include "graph/generators.h"
 #include "labeling/label_source.h"
 #include "labeling/naive_index.h"
+#include "labeling/shard_manifest.h"
+#include "labeling/shard_plan.h"
+#include "labeling/snapshot.h"
 #include "search/wc_bfs.h"
+#include "serve/query_engine.h"
 
 namespace wcsd {
 namespace {
@@ -187,6 +196,57 @@ BENCHMARK(BM_RoadMerge)
     ->Arg(static_cast<int>(LabelForm::kSliced))
     ->Arg(static_cast<int>(LabelForm::kCompressed))
     ->ArgNames({"form"});
+
+// The perfbench road-cold-sharded shape one layer down: the road labels
+// as a planned 4-shard compressed set behind a 4 MiB decode cache, one
+// engine Query per iteration from a Zipf(0.8) stream over 4096 pairs with
+// a fixed w per pair. Compressed pairs read (vertex, level) slices from
+// the cache (serve/decode_cache.h); decode_cache_hit_rate covers the
+// timed loop only.
+void BM_RoadColdShardedQuery(benchmark::State& state) {
+  static const std::vector<WcsdQuery> workload = MakeZipfQueryWorkload(
+      Road().graph, 1 << 19, 4096, 0.8, /*vary_w=*/false, 11);
+  static const std::unique_ptr<const QueryEngine> engine = [] {
+    ShardPlanOptions plan_options;
+    plan_options.num_shards = 4;
+    SnapshotWriteOptions compress;
+    compress.compress = true;
+    const FlatLabelSet& flat = Road().flat;
+    auto written = WriteShardSet("/tmp/bench_query_cold", flat,
+                                 PlanShards(flat, plan_options).value(),
+                                 compress);
+    if (!written.ok()) return std::unique_ptr<const QueryEngine>();
+    QueryEngineOptions options;
+    options.num_threads = 1;
+    options.decode_cache_bytes = 4u << 20;
+    auto opened =
+        QueryEngine::OpenManifest(written.value().manifest_path, options);
+    if (!opened.ok()) return std::unique_ptr<const QueryEngine>();
+    auto out = std::make_unique<const QueryEngine>(std::move(opened).value());
+    // Warm the cache with one pass, as the perfbench phase does.
+    for (const WcsdQuery& q : workload) out->Query(q.s, q.t, q.w);
+    return std::unique_ptr<const QueryEngine>(std::move(out));
+  }();
+  if (engine == nullptr) {
+    state.SkipWithError("compressed shard set unavailable");
+    return;
+  }
+  const QueryEngineStats before = engine->stats();
+  size_t i = 0;
+  for (auto _ : state) {
+    const WcsdQuery& q = workload[i++ & (workload.size() - 1)];
+    benchmark::DoNotOptimize(engine->Query(q.s, q.t, q.w));
+  }
+  const QueryEngineStats after = engine->stats();
+  const double hits =
+      static_cast<double>(after.decode_hits - before.decode_hits);
+  const double lookups =
+      hits + static_cast<double>(after.decode_misses - before.decode_misses);
+  state.counters["decode_cache_hit_rate"] = lookups > 0 ? hits / lookups : 0;
+  state.counters["decode_cache_bytes"] =
+      static_cast<double>(engine->decode_cache()->MemoryBytes());
+}
+BENCHMARK(BM_RoadColdShardedQuery);
 
 // What the snapshot writer pays to choose and build the sliced form.
 void BM_RoadSliceBuild(benchmark::State& state) {

@@ -333,10 +333,11 @@ BENCHMARK(BM_ShardLocalThroughput)
 // ------------------------------------------- compressed-backend benchmarks
 
 // The latency penalty of serving delta/varint-compressed labels, swept
-// across decode-cache budgets. compressed:0 is the flat-backend baseline;
-// compressed:1 cache_mb:0 decodes every touched hub group per query (the
-// worst case); growing budgets keep hot groups decoded and claw the
-// penalty back. The engine is opened fresh per run so the
+// across decode-cache budgets. compressed:0 is the uncompressed baseline
+// (the snapshot the writer picks: sliced on this fixture);
+// compressed:1 cache_mb:0 streams every touched hub group per query (the
+// worst case); growing budgets keep hot vertices' level slices decoded
+// and claw the penalty back. The engine is opened fresh per run so the
 // compression_ratio / decode_cache_hit_rate / cold_pageins counters in
 // BENCH_micro_serve.json describe exactly the timed workload (the tier-1
 // bench-smoke asserts their presence and sanity).
@@ -376,9 +377,9 @@ void BM_CompressedServeThroughput(benchmark::State& state) {
   SetBackend(state, compressed ? "compressed" : "mmap");
 }
 BENCHMARK(BM_CompressedServeThroughput)
-    // {compressed, decode cache MiB}: flat baseline, then the compressed
-    // penalty sweep from uncached decode to a budget that holds the whole
-    // working set.
+    // {compressed, decode cache MiB}: uncompressed baseline, then the
+    // compressed penalty sweep from uncached decode to a budget that holds
+    // the whole working set.
     ->Args({0, 0})
     ->Args({1, 0})->Args({1, 1})->Args({1, 8})->Args({1, 64})
     ->ArgNames({"compressed", "cache_mb"})

@@ -98,7 +98,7 @@ std::vector<RankedCandidate> TopKClosestOverLabels(
   // resolves each group to exactly that entry.)
   std::vector<Distance> source_dist(n, kInfDistance);
   for (const LabelEntry& e : entries_of(static_cast<Vertex>(source))) {
-    if (e.quality < w) continue;
+    if (!(e.quality >= w)) continue;  // NaN admits none
     if (e.dist < source_dist[e.hub]) source_dist[e.hub] = e.dist;
   }
   for (Vertex c : candidates) {
@@ -107,7 +107,7 @@ std::vector<RankedCandidate> TopKClosestOverLabels(
       d = 0;
     } else if (c < n) {
       for (const LabelEntry& e : entries_of(c)) {
-        if (e.quality < w) continue;
+        if (!(e.quality >= w)) continue;  // NaN admits none
         const Distance ds = source_dist[e.hub];
         if (ds == kInfDistance) continue;
         if (ds + e.dist < d) d = ds + e.dist;

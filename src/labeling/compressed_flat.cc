@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "labeling/sliced_labels.h"
 
 namespace wcsd {
 
@@ -209,6 +210,12 @@ Status CompressedFlatLabelSet::DecodeVertex(Vertex v, DecodedLabel* out) const {
     return CorruptVertex(v, "trailing bytes after label stream");
   }
   return Status::OK();
+}
+
+size_t CompressedFlatLabelSet::LevelFor(Quality w) const {
+  // Past the finite dictionary lies the +inf level, which every w but NaN
+  // reaches.
+  return std::isnan(w) ? NumLevels() : wcsd::LevelFor(dictionary_, w);
 }
 
 Status CompressedFlatLabelSet::Validate(ValidateLevel level) const {

@@ -108,6 +108,17 @@ class CompressedFlatLabelSet {
            (offsets_.size() + group_offsets_.size()) * sizeof(uint64_t);
   }
 
+  /// Query+ levels (labeling/sliced_labels.h): the dictionary's
+  /// qualities ascending, then +inf on top (quality code 0).
+  size_t NumLevels() const { return dictionary_.size() + 1; }
+  Quality LevelQuality(size_t level) const {
+    return level < dictionary_.size() ? dictionary_[level] : kInfQuality;
+  }
+  /// The level serving constraint w (wcsd::LevelFor over the levels); only
+  /// NaN lies above +inf, so only NaN gets NumLevels(), where the answer
+  /// is INF.
+  size_t LevelFor(Quality w) const;
+
   /// True when the arrays live in externally owned memory (an mmap'd
   /// snapshot) rather than heap vectors — the cold-tier signal: a decode
   /// of an external vertex may fault label pages in from disk.

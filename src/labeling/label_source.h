@@ -13,6 +13,10 @@
 //     scratch;
 //   * compressed (CompressedFlatLabelSet): per-vertex varint streams,
 //     decoded into caller scratch.
+// Every form also hands out a vertex's Query+ slice at a constraint
+// (Slice): the stored level, a projection of the flat label, or — for
+// compressed labels — whatever the caller's projector returns, which is
+// how the engine serves them from its decode cache.
 // A source is a cheap value — every set is spans plus a shared keep-alive
 // handle, so copies share the heap arrays or the mmap'd snapshot
 // underneath. Fingerprints, Materialize and Validate see the same flat
@@ -22,7 +26,10 @@
 #define WCSD_LABELING_LABEL_SOURCE_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "labeling/compressed_flat.h"
 #include "labeling/flat_label_set.h"
@@ -122,6 +129,38 @@ class LabelSource {
         break;
     }
     return scratch->View();
+  }
+
+  /// L(local)'s Query+ slice for constraint w (labeling/sliced_labels.h):
+  /// per hub group the first entry with quality >= w, hub-sorted — or
+  /// nullopt when no level reaches w (w NaN, or above every level), where
+  /// Query+ answers INF. Sliced: a view of the stored level, `scratch`
+  /// untouched. Flat: projected into `scratch`. Compressed:
+  /// `project(set, local, level, scratch)` fills `scratch` with the slice
+  /// at `level` (< set.NumLevels()), false on a failed decode, which
+  /// leaves the slice empty and answers like an unreachable vertex — how
+  /// the engine routes the slices through its decode cache.
+  template <typename Project>
+  std::optional<std::span<const SlicePair>> Slice(
+      Vertex local, Quality w, std::vector<SlicePair>* scratch,
+      Project&& project) const {
+    switch (form_) {
+      case LabelForm::kSliced: {
+        const size_t level = sliced_.LevelFor(w);
+        if (level == sliced_.NumLevels()) return std::nullopt;
+        return sliced_.Slice(level, local);
+      }
+      case LabelForm::kCompressed: {
+        const size_t level = packed_.LevelFor(w);
+        if (level == packed_.NumLevels()) return std::nullopt;
+        if (!project(packed_, local, level, scratch)) scratch->clear();
+        break;
+      }
+      case LabelForm::kFlat:
+        ProjectSlice(flat_.View(local), w, scratch);
+        break;
+    }
+    return std::span<const SlicePair>(*scratch);
   }
 
   /// IndexContentFingerprint of the equivalent flat set, however stored; 0

@@ -35,15 +35,17 @@ Distance QueryLabelsScan(std::span<const LabelEntry> ls,
       ++j;
     } else {
       // Full scan of the two matched groups — the Algorithm 2 flavor, with
-      // no reliance on intra-group quality ordering.
+      // no reliance on intra-group quality ordering. The constraint tests
+      // are written `!(quality >= w)` so that w = NaN admits no entry and
+      // answers INF, as FirstWithQuality does for the other kernels.
       size_t ie = i;
       do { ++ie; } while (ie < ls.size() && ls[ie].hub == hi);
       size_t je = j;
       do { ++je; } while (je < lt.size() && lt[je].hub == hi);
       for (size_t ii = i; ii < ie; ++ii) {
-        if (ls[ii].quality < w) continue;
+        if (!(ls[ii].quality >= w)) continue;
         for (size_t jj = j; jj < je; ++jj) {
-          if (lt[jj].quality < w) continue;
+          if (!(lt[jj].quality >= w)) continue;
           Distance sum = ls[ii].dist + lt[jj].dist;
           if (sum < best) best = sum;
         }
@@ -97,9 +99,9 @@ Distance QueryLabelsHubGrouped(std::span<const LabelEntry> ls,
     auto [ib, ie] = FindGroup(ls, hub);
     if (ib != ie) {
       for (size_t jj = j; jj < je; ++jj) {
-        if (lt[jj].quality < w) continue;
+        if (!(lt[jj].quality >= w)) continue;
         for (size_t ii = ib; ii < ie; ++ii) {
-          if (ls[ii].quality < w) continue;
+          if (!(ls[ii].quality >= w)) continue;
           Distance sum = ls[ii].dist + lt[jj].dist;
           if (sum < best) best = sum;
         }
@@ -210,9 +212,9 @@ Distance QueryFlatHubGrouped(const FlatLabelView& ls, const FlatLabelView& lt,
     size_t jb = lt.groups[gt].begin, je = lt.GroupEnd(gt);
     size_t ib = ls.groups[gs].begin, ie = ls.GroupEnd(gs);
     for (size_t jj = jb; jj < je; ++jj) {
-      if (lt.entries[jj].quality < w) continue;
+      if (!(lt.entries[jj].quality >= w)) continue;
       for (size_t ii = ib; ii < ie; ++ii) {
-        if (ls.entries[ii].quality < w) continue;
+        if (!(ls.entries[ii].quality >= w)) continue;
         Distance sum = ls.entries[ii].dist + lt.entries[jj].dist;
         if (sum < best) best = sum;
       }

@@ -11,7 +11,8 @@
 //   * kMerge      — Algorithm 5 (Query+): linear two-pointer merge over the
 //                   rank-sorted labels, O(|L(s)| + |L(t)|)-flavored.
 //
-// All four return identical distances (tested); they differ only in cost.
+// All four return identical distances (tested), INF at w = NaN included;
+// they differ only in cost.
 // Theorem 3 (within a hub group distances and qualities are both strictly
 // ascending) is what makes "first entry with quality >= w" the minimal
 // distance choice for that hub.

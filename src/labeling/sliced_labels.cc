@@ -6,6 +6,8 @@
 #include <limits>
 #include <string>
 
+#include "labeling/query.h"
+
 namespace wcsd {
 
 namespace {
@@ -234,13 +236,51 @@ SlicedLabelSet SlicedLabelSet::FromExternal(
   return out;
 }
 
-size_t SlicedLabelSet::LevelFor(Quality w) const {
+size_t LevelFor(std::span<const Quality> levels, Quality w) {
   // `!(w <= top)` also catches NaN, which lower_bound would send to
   // level 0 and a finite answer.
-  if (dictionary_.empty() || !(w <= dictionary_.back())) return NumLevels();
+  if (levels.empty() || !(w <= levels.back())) return levels.size();
   return static_cast<size_t>(
-      std::lower_bound(dictionary_.begin(), dictionary_.end(), w) -
-      dictionary_.begin());
+      std::lower_bound(levels.begin(), levels.end(), w) - levels.begin());
+}
+
+void ProjectSlice(const FlatLabelView& label, Quality q,
+                  std::vector<SlicePair>* out) {
+  out->clear();
+  for (size_t g = 0; g < label.groups.size(); ++g) {
+    const size_t end = label.GroupEnd(g);
+    const size_t i =
+        FirstWithQuality(label.entries, label.groups[g].begin, end, q);
+    if (i != end) {
+      out->push_back(SlicePair{label.groups[g].hub, label.entries[i].dist});
+    }
+  }
+}
+
+Distance MergeSlices(std::span<const SlicePair> a_slice,
+                     std::span<const SlicePair> b_slice) {
+  const SlicePair* a = a_slice.data();
+  const SlicePair* const a_end = a + a_slice.size();
+  const SlicePair* b = b_slice.data();
+  const SlicePair* const b_end = b + b_slice.size();
+  Distance best = kInfDistance;
+  // A plain sorted-array merge. The branch-free form (cursor increments
+  // from the compare results) measured ~20% slower on the road fixture:
+  // its loads form one dependency chain, while these branches predict
+  // well over runs of unmatched hubs.
+  while (a != a_end && b != b_end) {
+    if (a->hub < b->hub) {
+      ++a;
+    } else if (b->hub < a->hub) {
+      ++b;
+    } else {
+      const Distance sum = a->dist + b->dist;
+      if (sum < best) best = sum;
+      ++a;
+      ++b;
+    }
+  }
+  return best;
 }
 
 namespace {
@@ -395,30 +435,7 @@ Distance QuerySlicedMerge(const SlicedLabelSet& s_labels, Vertex s,
   if (ks == s_labels.NumLevels() || kt == t_labels.NumLevels()) {
     return kInfDistance;
   }
-  const std::span<const SlicePair> ls = s_labels.Slice(ks, s);
-  const std::span<const SlicePair> lt = t_labels.Slice(kt, t);
-  const SlicePair* a = ls.data();
-  const SlicePair* const a_end = a + ls.size();
-  const SlicePair* b = lt.data();
-  const SlicePair* const b_end = b + lt.size();
-  Distance best = kInfDistance;
-  // A plain sorted-array merge. The branch-free form (cursor increments
-  // from the compare results) measured ~20% slower on the road fixture:
-  // its loads form one dependency chain, while these branches predict
-  // well over runs of unmatched hubs.
-  while (a != a_end && b != b_end) {
-    if (a->hub < b->hub) {
-      ++a;
-    } else if (b->hub < a->hub) {
-      ++b;
-    } else {
-      const Distance sum = a->dist + b->dist;
-      if (sum < best) best = sum;
-      ++a;
-      ++b;
-    }
-  }
-  return best;
+  return MergeSlices(s_labels.Slice(ks, s), t_labels.Slice(kt, t));
 }
 
 }  // namespace wcsd

@@ -54,6 +54,25 @@ struct SlicePair {
   friend bool operator==(const SlicePair&, const SlicePair&) = default;
 };
 
+/// The level serving constraint w over ascending level qualities
+/// `levels`: the smallest k with levels[k] >= w, or levels.size() when
+/// there is none (w NaN or above the top level). No entry quality lies in
+/// [w, levels[k]), so level k's slice is the slice at w. SlicedLabelSet
+/// and CompressedFlatLabelSet both pick their levels with it.
+size_t LevelFor(std::span<const Quality> levels, Quality w);
+
+/// The slice of one label at threshold q, into *out (replaced): per hub
+/// group, the hub and the distance of its first entry with quality >= q
+/// (FirstWithQuality), hub-sorted; groups without one are left out. The
+/// pairs SlicedLabelSet stores at a level of quality q.
+void ProjectSlice(const FlatLabelView& label, Quality q,
+                  std::vector<SlicePair>* out);
+
+/// The Query+ merge of two slices at one constraint: the minimum of
+/// a.dist + b.dist over the hubs both carry, kInfDistance when none.
+Distance MergeSlices(std::span<const SlicePair> a,
+                     std::span<const SlicePair> b);
+
 /// Immutable level-sliced packing of a FlatLabelSet.
 class SlicedLabelSet {
  public:
@@ -97,7 +116,7 @@ class SlicedLabelSet {
   /// The level serving constraint w: the smallest k with q_k >= w, or
   /// NumLevels() when there is none — w NaN or above the top level, where
   /// no entry qualifies and the answer is INF.
-  size_t LevelFor(Quality w) const;
+  size_t LevelFor(Quality w) const { return wcsd::LevelFor(dictionary_, w); }
 
   /// Vertex v's slice at `level` (< NumLevels()), hub-sorted.
   std::span<const SlicePair> Slice(size_t level, Vertex v) const {
@@ -166,10 +185,11 @@ class SlicedLabelSet {
 /// Query+ over two sliced labels, L(s) from `s_labels` and L(t) from
 /// `t_labels` (one set for a whole index, two shards' — each with its own
 /// dictionary — for a cross-shard pair; s and t local). Each side picks
-/// its level with LevelFor(w), then one merge of the two hub-sorted
-/// arrays: no hub directory and no FirstWithQuality search. Bit-identical to QueryFlatMerge on the rebuilt
-/// labels, including w NaN or above the top level (INF). An endpoint out
-/// of its set's range answers kInfDistance.
+/// its level with LevelFor(w), then MergeSlices over the two hub-sorted
+/// arrays: no hub directory and no FirstWithQuality search. Bit-identical
+/// to QueryFlatMerge on the rebuilt labels, including w NaN or above the
+/// top level (INF). An endpoint out of its set's range answers
+/// kInfDistance.
 Distance QuerySlicedMerge(const SlicedLabelSet& s_labels, Vertex s,
                           const SlicedLabelSet& t_labels, Vertex t, Quality w);
 

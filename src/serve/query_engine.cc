@@ -339,7 +339,25 @@ Distance QueryEngine::QueryNoStats(Vertex s, Vertex t, Quality w) const {
     return QueryMerge(a.labels, static_cast<Vertex>(s - a.begin), b.labels,
                       static_cast<Vertex>(t - b.begin), w, &ls, &lt);
   }
-  return QueryFlatMerge(ViewOf(s, &ls), ViewOf(t, &lt), w);
+  // A compressed endpoint behind the decode cache: each side's Query+
+  // slice at its own shard's level — a cached (vertex, level) slice of a
+  // compressed shard, a sliced shard's stored level, or a flat label
+  // projected — then the two-array merge.
+  thread_local std::vector<SlicePair> ss, st;
+  auto slice_of = [&](const Shard& shard, Vertex v,
+                      std::vector<SlicePair>* scratch) {
+    return shard.labels.Slice(
+        static_cast<Vertex>(v - shard.begin), w, scratch,
+        [&](const CompressedFlatLabelSet& set, Vertex local, size_t level,
+            std::vector<SlicePair>* out) {
+          return decode_cache_->GetOrProject(set, local, v, level, out);
+        });
+  };
+  const auto s_slice = slice_of(a, s, &ss);
+  if (!s_slice) return kInfDistance;
+  const auto t_slice = slice_of(b, t, &st);
+  if (!t_slice) return kInfDistance;
+  return MergeSlices(*s_slice, *t_slice);
 }
 
 ServeOutcome QueryEngine::QueryExNoStats(Vertex s, Vertex t, Quality w,

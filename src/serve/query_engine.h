@@ -94,10 +94,11 @@ struct QueryEngineOptions {
   /// the hook (or if it does not rebind), the Rebind wipes as usual.
   std::function<void(uint64_t fingerprint)> pre_bind_invalidate;
   /// Byte budget for the decoded-label cache (serve/decode_cache.h), used
-  /// only when some shard serves compressed labels: hot vertices' decoded
-  /// labels stay resident so repeat queries skip the varint walk (and the
-  /// cold-tier page-in). 0 (the default) streams compressed labels per
-  /// query instead. Ignored when every shard is flat.
+  /// only when some shard serves compressed labels: hot vertices' Query+
+  /// level slices (and, for the interval, top-k and profile readers, their
+  /// whole decoded labels) stay resident so repeat queries skip the varint
+  /// walk (and the cold-tier page-in). 0 (the default) streams compressed
+  /// labels per query instead. Ignored when no shard is compressed.
   size_t decode_cache_bytes = 0;
   /// Graph backing constrained-path reconstruction (§V). Path endpoints
   /// need the graph even when the index carries parent quads: a mid-chain
@@ -271,7 +272,7 @@ class QueryEngine {
 
   /// The decoded-label cache, or null unless a compressed shard is served
   /// with options.decode_cache_bytes > 0. Shared across shards, keyed by
-  /// global vertex id.
+  /// (global vertex id, level).
   const DecodedLabelCache* decode_cache() const { return decode_cache_.get(); }
 
   /// The index content fingerprint when caching, 0 otherwise. The swap

@@ -3,7 +3,7 @@
 // bit-identity to the flat kernels, validation tiers, the LabelSource seam
 // over flat and compressed twins, the v3 snapshot format (including its
 // corruption corpus), compressed shard sets, and the cold-tier
-// decoded-label cache.
+// decoded-label cache (whole labels and Query+ level slices).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -703,6 +704,244 @@ TEST(DecodedLabelCache, ConcurrentReadersStayCoherent) {
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(failed.load());
+}
+
+// ---- level slices in the decoded-label cache ----
+
+// The reference slice: a plain decode projected at the level's quality.
+std::vector<SlicePair> ProjectedSlice(const CompressedFlatLabelSet& set,
+                                      Vertex v, size_t level) {
+  DecodedLabel decoded;
+  EXPECT_TRUE(set.DecodeVertex(v, &decoded).ok());
+  std::vector<SlicePair> slice;
+  ProjectSlice(decoded.View(), set.LevelQuality(level), &slice);
+  return slice;
+}
+
+TEST(DecodedLabelCache, SliceHitsAfterFirstDecodeAtEveryLevel) {
+  WcIndex index = BuildFinalizedIndex(60, 150, 3);
+  CompressedFlatLabelSet compressed =
+      CompressedFlatLabelSet::FromFlat(index.flat_labels());
+  ASSERT_EQ(compressed.NumLevels(), 6u);  // five qualities, then +inf
+  DecodedLabelCache cache(4 << 20);
+  std::vector<SlicePair> out;
+  for (size_t level = 0; level < compressed.NumLevels(); ++level) {
+    const DecodeCacheStats before = cache.stats();
+    ASSERT_TRUE(cache.GetOrProject(compressed, 5, 5, level, &out));
+    EXPECT_EQ(out, ProjectedSlice(compressed, 5, level)) << level;
+    out.assign(3, SlicePair{9, 9});  // a hit must replace, not append
+    ASSERT_TRUE(cache.GetOrProject(compressed, 5, 5, level, &out));
+    EXPECT_EQ(out, ProjectedSlice(compressed, 5, level)) << level;
+    const DecodeCacheStats after = cache.stats();
+    EXPECT_EQ(after.misses - before.misses, 1u) << level;
+    EXPECT_EQ(after.hits - before.hits, 1u) << level;
+    EXPECT_EQ(after.inserts - before.inserts, 1u) << level;
+  }
+  // Level 0 keeps every hub group; the slices shrink going up.
+  ASSERT_TRUE(cache.GetOrProject(compressed, 5, 5, 0, &out));
+  EXPECT_EQ(out.size(), compressed.GroupCount(5));
+}
+
+// (vertex, level) and (vertex, whole label) are distinct entries: each is
+// decoded once on its own miss and hands back its own kind.
+TEST(DecodedLabelCache, SliceAndWholeLabelKeysNeverAlias) {
+  WcIndex index = BuildFinalizedIndex(60, 150, 3);
+  CompressedFlatLabelSet compressed =
+      CompressedFlatLabelSet::FromFlat(index.flat_labels());
+  DecodedLabelCache cache(4 << 20);
+  const size_t levels = compressed.NumLevels();
+  DecodedLabel label;
+  std::vector<SlicePair> slice;
+  for (Vertex v : {Vertex{0}, Vertex{1}, Vertex{7}}) {
+    ASSERT_TRUE(cache.GetOrDecode(compressed, v, v, &label));
+    for (size_t level = 0; level < levels; ++level) {
+      ASSERT_TRUE(cache.GetOrProject(compressed, v, v, level, &slice));
+    }
+  }
+  // Every key missed once: 3 vertices x (levels + 1) distinct entries.
+  EXPECT_EQ(cache.stats().misses, 3 * (levels + 1));
+  EXPECT_EQ(cache.stats().hits, 0u);
+  for (Vertex v : {Vertex{7}, Vertex{1}, Vertex{0}}) {
+    ASSERT_TRUE(cache.GetOrDecode(compressed, v, v, &label));
+    EXPECT_TRUE(std::ranges::equal(label.entries,
+                                   index.flat_labels().View(v).entries));
+    for (size_t level = levels; level-- > 0;) {
+      ASSERT_TRUE(cache.GetOrProject(compressed, v, v, level, &slice));
+      EXPECT_EQ(slice, ProjectedSlice(compressed, v, level));
+    }
+  }
+  EXPECT_EQ(cache.stats().hits, 3 * (levels + 1));
+  EXPECT_EQ(cache.stats().misses, 3 * (levels + 1));
+}
+
+// One pair split over two compressed shards whose dictionaries differ:
+// L(s) carries qualities {1, 2, 3}, L(t) carries {2, 5}. Each side picks
+// its own level, and the engine must answer like the flat merge at every
+// kind of constraint: below, between and on the levels, above one side's
+// finite levels, above both, +inf and NaN.
+TEST(DecodedLabelCache, CrossShardPairWithDifferentDictionaries) {
+  const std::vector<LabelEntry> ls{{0, 2, 1.0f},
+                                   {0, 3, 3.0f},
+                                   {2, 1, 2.0f},
+                                   {2, 4, kInfQuality},
+                                   {4, 0, kInfQuality}};
+  const std::vector<LabelEntry> lt{{0, 1, 2.0f},
+                                   {0, 4, 5.0f},
+                                   {2, 2, 5.0f},
+                                   {2, 3, kInfQuality},
+                                   {3, 0, kInfQuality}};
+  LabelSet set(2);
+  *set.Mutable(0) = ls;
+  *set.Mutable(1) = lt;
+  const FlatLabelSet flat = FlatLabelSet::FromLabelSet(set);
+  const std::string a = TempPath("cf_dict.shard0");
+  const std::string b = TempPath("cf_dict.shard1");
+  const std::string b_flat = TempPath("cf_dict_flat.shard1");
+  SnapshotWriteOptions compress;
+  compress.compress = true;
+  ASSERT_TRUE(WriteSnapshotShard(a, flat, 0, 1, 2, {}, compress).ok());
+  ASSERT_TRUE(WriteSnapshotShard(b, flat, 1, 2, 2, {}, compress).ok());
+  ASSERT_TRUE(WriteSnapshotShard(b_flat, flat, 1, 2, 2).ok());
+  auto shard_a = LoadSnapshotMmap(a);
+  auto shard_b = LoadSnapshotMmap(b);
+  ASSERT_TRUE(shard_a.ok() && shard_b.ok());
+  EXPECT_TRUE(std::ranges::equal(shard_a.value().labels.packed().raw_dictionary(),
+                                 std::vector<Quality>{1.0f, 2.0f, 3.0f}));
+  EXPECT_TRUE(std::ranges::equal(shard_b.value().labels.packed().raw_dictionary(),
+                                 std::vector<Quality>{2.0f, 5.0f}));
+
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  options.decode_cache_bytes = 1 << 20;
+  auto both = QueryEngine::OpenMmap({a, b}, options);
+  auto mixed = QueryEngine::OpenMmap({a, b_flat}, options);
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  const Quality nan = std::numeric_limits<Quality>::quiet_NaN();
+  const std::pair<Quality, Distance> cases[] = {
+      {-kInfQuality, 3}, {0.5f, 3}, {1.0f, 3},  // below / on the lowest
+      {1.5f, 3},         {2.0f, 3},             // between / on
+      {2.5f, 6},         {3.0f, 6},             // on s's top finite level
+      {4.0f, 6},         {5.0f, 6},             // above s's, on t's top
+      {5.5f, 7},         {kInfQuality, 7},      // above both: the +inf level
+      {nan, kInfDistance}};
+  for (int round = 0; round < 2; ++round) {  // misses, then hits
+    for (const auto& [w, want] : cases) {
+      ASSERT_EQ(QueryFlatMerge(flat.View(0), flat.View(1), w), want) << w;
+      EXPECT_EQ(both.value().Query(0, 1, w), want) << "w=" << w;
+      EXPECT_EQ(both.value().Query(1, 0, w), want) << "w=" << w;
+      EXPECT_EQ(mixed.value().Query(0, 1, w), want) << "mixed w=" << w;
+      EXPECT_EQ(mixed.value().Query(1, 0, w), want) << "mixed w=" << w;
+    }
+  }
+  // s reads levels {0, 1, 2, 3(+inf)} of its set, t levels {0, 1, 2(+inf)}:
+  // seven slices, each decoded once. NaN asks for none.
+  const QueryEngineStats stats = both.value().stats();
+  EXPECT_EQ(stats.decode_misses, 7u);
+  EXPECT_GT(stats.decode_hits, 0u);
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+  std::remove(b_flat.c_str());
+}
+
+TEST(DecodedLabelCache, BudgetBoundedUnderSliceAndWholeLabelChurn) {
+  WcIndex index = BuildFinalizedIndex(300, 800, 19);
+  CompressedFlatLabelSet compressed =
+      CompressedFlatLabelSet::FromFlat(index.flat_labels());
+  const size_t budget = 32 << 10;
+  DecodedLabelCache cache(budget);
+  DecodedLabel label;
+  std::vector<SlicePair> slice;
+  Rng rng(77);
+  for (int i = 0; i < 20000; ++i) {
+    const Vertex v =
+        static_cast<Vertex>(rng.NextBounded(compressed.NumVertices()));
+    if (i % 4 == 0) {
+      ASSERT_TRUE(cache.GetOrDecode(compressed, v, v, &label));
+    } else {
+      const size_t level = rng.NextBounded(compressed.NumLevels());
+      ASSERT_TRUE(cache.GetOrProject(compressed, v, v, level, &slice));
+    }
+    ASSERT_LE(cache.MemoryBytes(), budget) << "after lookup " << i;
+  }
+  const DecodeCacheStats stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.admission_rejects, 0u);
+  EXPECT_GT(stats.hits, 0u);
+}
+
+TEST(DecodedLabelCache, FailedDecodeIsNeverCached) {
+  WcIndex index = BuildFinalizedIndex(60, 150, 13);
+  CompressedFlatLabelSet good =
+      CompressedFlatLabelSet::FromFlat(index.flat_labels());
+  std::vector<uint8_t> blob(good.raw_blob().begin(), good.raw_blob().end());
+  constexpr Vertex kBad = 7;
+  const auto comp = good.raw_comp_offsets();
+  std::fill(blob.begin() + static_cast<ptrdiff_t>(comp[kBad]),
+            blob.begin() + static_cast<ptrdiff_t>(comp[kBad + 1]),
+            uint8_t{0xFF});  // one unterminated varint
+  const CompressedFlatLabelSet bad = CompressedFlatLabelSet::FromExternal(
+      good.raw_offsets(), good.raw_group_offsets(), comp, blob,
+      good.raw_dictionary(), nullptr);
+  DecodedLabelCache cache(4 << 20);
+  DecodedLabel label;
+  std::vector<SlicePair> slice;
+  for (int round = 0; round < 3; ++round) {
+    slice.assign(2, SlicePair{1, 1});
+    EXPECT_FALSE(cache.GetOrProject(bad, kBad, kBad, 0, &slice));
+    EXPECT_TRUE(slice.empty());
+    label.entries.push_back(LabelEntry{0, 0, kInfQuality});
+    EXPECT_FALSE(cache.GetOrDecode(bad, kBad, kBad, &label));
+    EXPECT_TRUE(label.entries.empty());
+  }
+  DecodeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 6u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(cache.MemoryBytes(), 0u);
+  // Its neighbour still decodes and caches.
+  ASSERT_TRUE(cache.GetOrProject(bad, kBad + 1, kBad + 1, 0, &slice));
+  EXPECT_EQ(slice, ProjectedSlice(good, kBad + 1, 0));
+  EXPECT_EQ(cache.stats().inserts, 1u);
+}
+
+// Slice and whole-label readers of the same vertices on a budget small
+// enough to evict while they read (run under TSan in CI).
+TEST(DecodedLabelCache, ConcurrentSliceAndWholeLabelReaders) {
+  WcIndex index = BuildFinalizedIndex(120, 320, 23);
+  CompressedFlatLabelSet compressed =
+      CompressedFlatLabelSet::FromFlat(index.flat_labels());
+  const FlatLabelSet& flat = index.flat_labels();
+  DecodedLabelCache cache(48 << 10);
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t]() {
+      Rng rng(200 + static_cast<uint64_t>(t));
+      DecodedLabel label;
+      std::vector<SlicePair> slice;
+      for (int i = 0; i < 3000 && !failed; ++i) {
+        const Vertex v =
+            static_cast<Vertex>(rng.NextBounded(compressed.NumVertices()));
+        if (t % 2 == 0) {
+          const size_t level = rng.NextBounded(compressed.NumLevels());
+          std::vector<SlicePair> want;
+          ProjectSlice(flat.View(v), compressed.LevelQuality(level), &want);
+          if (!cache.GetOrProject(compressed, v, v, level, &slice) ||
+              slice != want) {
+            failed = true;
+          }
+        } else if (!cache.GetOrDecode(compressed, v, v, &label) ||
+                   !std::ranges::equal(label.entries,
+                                       flat.View(v).entries)) {
+          failed = true;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_LE(cache.MemoryBytes(), cache.budget_bytes());
 }
 
 // ---- engine integration ----

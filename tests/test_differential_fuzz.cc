@@ -26,7 +26,8 @@
 // The level-sliced form gets its own two suites below: in memory on every
 // fuzz graph against the flat labels, and as v4 snapshots (a whole road
 // index, and a planned shard set mixing sliced and flat shards) through
-// the engine.
+// the engine and over the wire, next to compressed shard sets whose
+// pairs merge (vertex, level) slices from the decode cache.
 // Builds alternate between the sequential and the rank-batched parallel
 // pipeline, so construction is fuzzed too (and races surface under the
 // TSan CI job, which runs this suite).
@@ -1069,10 +1070,34 @@ QualityGraph MakeMixedFormGraph(size_t side, size_t social_n, uint64_t seed) {
   return builder.Build();
 }
 
+// A loopback WcServer over one engine and a client connected to it.
+struct WireStack {
+  std::unique_ptr<WcServer> server;
+  std::unique_ptr<WcClient> client;
+};
+
+WireStack ServeOverLoopback(std::shared_ptr<const QueryEngine> engine) {
+  WireStack stack;
+  auto started = WcServer::Start(MakeQueryService(std::move(engine)));
+  EXPECT_TRUE(started.ok()) << started.status().ToString();
+  if (!started.ok()) return stack;
+  stack.server = std::make_unique<WcServer>(std::move(started).value());
+  auto connected = WcClient::Connect("127.0.0.1", stack.server->port());
+  EXPECT_TRUE(connected.ok()) << connected.status().ToString();
+  if (connected.ok()) {
+    stack.client = std::make_unique<WcClient>(std::move(connected).value());
+  }
+  return stack;
+}
+
 // Snapshots the writer rule stores sliced (v4), served end to end: a whole
-// road snapshot through QueryEngine::Open, and a planned shard set whose
-// shards mix sliced and flat, against the in-memory flat engine and
-// ConstrainedDijkstra.
+// road snapshot through QueryEngine::Open, a planned shard set whose
+// shards mix sliced and flat, the same plan written compressed behind a
+// decode cache smaller than its labels, and the plan with one shard
+// compressed among sliced and flat ones (the decode cache's slice path
+// pairing a cached compressed slice with a stored or projected one).
+// Each is checked in process and over the wire (WcServer + WcClient on
+// loopback) against the in-memory flat engine and ConstrainedDijkstra.
 TEST(DifferentialFuzz, SlicedSnapshotsServeLikeFlat) {
   const std::string dir = testing::TempDir();
   for (uint64_t seed : {3u, 17u}) {
@@ -1104,9 +1129,11 @@ TEST(DifferentialFuzz, SlicedSnapshotsServeLikeFlat) {
     ASSERT_EQ(info.value().version, 4u);
     QueryEngineOptions grid_serve = serve;
     grid_serve.graph = std::make_shared<const QualityGraph>(grid);
-    auto grid_engine = QueryEngine::Open(full, grid_serve);
-    ASSERT_TRUE(grid_engine.ok()) << grid_engine.status().ToString();
-    ASSERT_EQ(grid_engine.value().LabelForms(), "sliced");
+    auto grid_opened = QueryEngine::Open(full, grid_serve);
+    ASSERT_TRUE(grid_opened.ok()) << grid_opened.status().ToString();
+    const auto grid_engine =
+        std::make_shared<const QueryEngine>(std::move(grid_opened).value());
+    ASSERT_EQ(grid_engine->LabelForms(), "sliced");
     QueryEngineOptions cached_serve = grid_serve;
     cached_serve.cache_bytes = 8 << 10;
     auto grid_cached = QueryEngine::Open(full, cached_serve);
@@ -1122,21 +1149,101 @@ TEST(DifferentialFuzz, SlicedSnapshotsServeLikeFlat) {
     auto written = WriteShardSet(dir + "/fuzz_mixed_" + std::to_string(seed),
                                  index.flat_labels(), plan.value());
     ASSERT_TRUE(written.ok()) << written.status().ToString();
-    size_t sliced_shards = 0, flat_shards = 0;
+    std::vector<bool> shard_sliced;
     for (const std::string& path : written.value().shard_paths) {
       auto shard_info = ReadSnapshotInfo(path);
       ASSERT_TRUE(shard_info.ok());
-      ++(shard_info.value().sliced ? sliced_shards : flat_shards);
+      shard_sliced.push_back(shard_info.value().sliced);
     }
+    const size_t sliced_shards = static_cast<size_t>(
+        std::count(shard_sliced.begin(), shard_sliced.end(), true));
+    const size_t flat_shards = shard_sliced.size() - sliced_shards;
     ASSERT_GT(sliced_shards, 0u) << "seed=" << seed;
     ASSERT_GT(flat_shards, 0u) << "seed=" << seed;
     SnapshotLoadOptions verify;
     verify.verify_checksums = true;
     verify.verify_level = SnapshotVerifyLevel::kDeep;
-    auto mixed = QueryEngine::OpenManifest(written.value().manifest_path,
-                                           serve, verify);
-    ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
-    EXPECT_NE(mixed.value().LabelForms().find("sliced"), std::string::npos);
+    auto mixed_opened = QueryEngine::OpenManifest(
+        written.value().manifest_path, serve, verify);
+    ASSERT_TRUE(mixed_opened.ok()) << mixed_opened.status().ToString();
+    const auto mixed =
+        std::make_shared<const QueryEngine>(std::move(mixed_opened).value());
+    EXPECT_NE(mixed->LabelForms().find("sliced"), std::string::npos);
+
+    // The same plan compressed, behind a decode cache smaller than the
+    // decoded labels, so slices and whole labels evict each other.
+    SnapshotWriteOptions compress;
+    compress.compress = true;
+    auto cwritten =
+        WriteShardSet(dir + "/fuzz_cplanned_" + std::to_string(seed),
+                      index.flat_labels(), plan.value(), compress);
+    ASSERT_TRUE(cwritten.ok()) << cwritten.status().ToString();
+    QueryEngineOptions cold_serve = serve;
+    cold_serve.decode_cache_bytes = 16 << 10;
+    auto cold_opened = QueryEngine::OpenManifest(
+        cwritten.value().manifest_path, cold_serve, verify);
+    ASSERT_TRUE(cold_opened.ok()) << cold_opened.status().ToString();
+    const auto cold =
+        std::make_shared<const QueryEngine>(std::move(cold_opened).value());
+    ASSERT_EQ(cold->LabelForms(), "compressed");
+    ASSERT_LT(cold_serve.decode_cache_bytes,
+              cold->stats().uncompressed_label_bytes);
+
+    // The plan again with one shard compressed: with three shards one form
+    // holds two of them, so compressing one of those leaves every form.
+    const bool compress_sliced = sliced_shards >= 2;
+    const size_t squeezed = static_cast<size_t>(
+        std::find(shard_sliced.begin(), shard_sliced.end(), compress_sliced) -
+        shard_sliced.begin());
+    std::vector<std::string> three_form_paths;
+    for (size_t k = 0; k < plan.value().shards.size(); ++k) {
+      const PlannedShard& range = plan.value().shards[k];
+      three_form_paths.push_back(dir + "/fuzz_three_" + std::to_string(seed) +
+                                 ".shard" + std::to_string(k));
+      ASSERT_TRUE(WriteSnapshotShard(three_form_paths.back(),
+                                     index.flat_labels(), range.begin,
+                                     range.end, n, {},
+                                     k == squeezed ? compress
+                                                   : SnapshotWriteOptions{})
+                      .ok());
+    }
+    auto three_opened = QueryEngine::OpenMmap(three_form_paths, cold_serve);
+    ASSERT_TRUE(three_opened.ok()) << three_opened.status().ToString();
+    const auto three_forms =
+        std::make_shared<const QueryEngine>(std::move(three_opened).value());
+    EXPECT_EQ(three_forms->LabelForms(), "1 flat, 1 sliced, 1 compressed");
+
+    // Every served engine, in process and over the wire.
+    const std::vector<std::shared_ptr<const QueryEngine>> served = {
+        mixed, cold, three_forms};
+    std::vector<WireStack> wires;
+    for (const auto& engine : served) {
+      wires.push_back(ServeOverLoopback(engine));
+      ASSERT_NE(wires.back().client, nullptr);
+    }
+    WireStack grid_wire = ServeOverLoopback(grid_engine);
+    ASSERT_NE(grid_wire.client, nullptr);
+    auto expect_everywhere = [&](Vertex s, Vertex t, Quality w,
+                                 Vertex gs, Vertex gt) {
+      const Distance want = flat_engine.Query(s, t, w);
+      for (size_t e = 0; e < served.size(); ++e) {
+        EXPECT_EQ(served[e]->Query(s, t, w), want)
+            << "engine " << e << " seed=" << seed << " " << s << "->" << t
+            << " w=" << w;
+        auto wired = wires[e].client->Query(s, t, w);
+        ASSERT_TRUE(wired.ok()) << wired.status().ToString();
+        EXPECT_EQ(wired.value(), want)
+            << "wire " << e << " seed=" << seed << " " << s << "->" << t
+            << " w=" << w;
+      }
+      const Distance grid_want = grid_index.Query(gs, gt, w);
+      EXPECT_EQ(grid_engine->Query(gs, gt, w), grid_want);
+      auto grid_wired = grid_wire.client->Query(gs, gt, w);
+      ASSERT_TRUE(grid_wired.ok()) << grid_wired.status().ToString();
+      EXPECT_EQ(grid_wired.value(), grid_want)
+          << "sliced wire seed=" << seed << " " << gs << "->" << gt
+          << " w=" << w;
+    };
 
     Rng rng(seed * 0x9e37u);
     std::vector<BatchQueryInput> batch, grid_batch;
@@ -1149,10 +1256,9 @@ TEST(DifferentialFuzz, SlicedSnapshotsServeLikeFlat) {
       const Vertex gs = s % static_cast<Vertex>(grid.NumVertices());
       const Vertex gt = t % static_cast<Vertex>(grid.NumVertices());
       grid_batch.push_back({gs, gt, w});
-      ASSERT_EQ(mixed.value().Query(s, t, w), flat_engine.Query(s, t, w))
-          << "seed=" << seed << " " << s << "->" << t << " w=" << w;
+      expect_everywhere(s, t, w, gs, gt);
+      ASSERT_FALSE(HasFailure());
       const Distance grid_want = grid_index.Query(gs, gt, w);
-      ASSERT_EQ(grid_engine.value().Query(gs, gt, w), grid_want);
       ASSERT_EQ(grid_cached.value().Query(gs, gt, w), grid_want);
       ASSERT_EQ(grid_cached.value().Query(gs, gt, w), grid_want);
       if (qi % 10 == 0) {
@@ -1164,19 +1270,31 @@ TEST(DifferentialFuzz, SlicedSnapshotsServeLikeFlat) {
     for (Quality w : {std::numeric_limits<Quality>::quiet_NaN(),
                       -kInfQuality, kInfQuality, 0.5f, 5.5f}) {
       for (size_t i = 0; i < 20; ++i) {
-        const Vertex s = batch[i].s, t = batch[i].t;
-        ASSERT_EQ(mixed.value().Query(s, t, w), flat_engine.Query(s, t, w));
-        const Vertex gs = grid_batch[i].s, gt = grid_batch[i].t;
-        ASSERT_EQ(grid_engine.value().Query(gs, gt, w),
-                  grid_index.Query(gs, gt, w));
+        expect_everywhere(batch[i].s, batch[i].t, w, grid_batch[i].s,
+                          grid_batch[i].t);
+        ASSERT_FALSE(HasFailure()) << "w=" << w;
       }
     }
-    ASSERT_EQ(mixed.value().Batch(batch), flat_engine.Batch(batch));
+    const std::vector<Distance> want_batch = flat_engine.Batch(batch);
+    for (size_t e = 0; e < served.size(); ++e) {
+      ASSERT_EQ(served[e]->Batch(batch), want_batch) << "engine " << e;
+      auto wired = wires[e].client->Batch(batch);
+      ASSERT_TRUE(wired.ok()) << wired.status().ToString();
+      ASSERT_EQ(wired.value(), want_batch) << "wire " << e;
+    }
     std::vector<Distance> grid_expected;
     for (const BatchQueryInput& q : grid_batch) {
       grid_expected.push_back(grid_index.Query(q.s, q.t, q.w));
     }
-    ASSERT_EQ(grid_engine.value().Batch(grid_batch), grid_expected);
+    ASSERT_EQ(grid_engine->Batch(grid_batch), grid_expected);
+    auto grid_wired = grid_wire.client->Batch(grid_batch);
+    ASSERT_TRUE(grid_wired.ok()) << grid_wired.status().ToString();
+    ASSERT_EQ(grid_wired.value(), grid_expected);
+    // The small decode cache served hits and kept to its budget.
+    const QueryEngineStats cold_stats = cold->stats();
+    EXPECT_GT(cold_stats.decode_hits, 0u);
+    EXPECT_LE(cold->decode_cache()->MemoryBytes(),
+              cold_serve.decode_cache_bytes);
 
     // The families: top-k, profile and path through the sliced layers.
     const std::vector<Quality> thresholds = {0.5f, 1.0f, 1.5f, 2.0f, 3.0f,
@@ -1189,25 +1307,29 @@ TEST(DifferentialFuzz, SlicedSnapshotsServeLikeFlat) {
       std::vector<RankedCandidate> want_topk, got_topk;
       ASSERT_EQ(flat_engine.TopKEx(s, candidates, w, 4, &want_topk),
                 ServeOutcome::kOk);
-      ASSERT_EQ(mixed.value().TopKEx(s, candidates, w, 4, &got_topk),
-                ServeOutcome::kOk);
-      ASSERT_EQ(got_topk.size(), want_topk.size());
-      for (size_t j = 0; j < got_topk.size(); ++j) {
-        EXPECT_EQ(got_topk[j].vertex, want_topk[j].vertex);
-        EXPECT_EQ(got_topk[j].dist, want_topk[j].dist);
-      }
       std::vector<ProfilePoint> want_profile, got_profile;
       ASSERT_EQ(flat_engine.ProfileEx(s, t, thresholds, &want_profile),
                 ServeOutcome::kOk);
-      ASSERT_EQ(mixed.value().ProfileEx(s, t, thresholds, &got_profile),
-                ServeOutcome::kOk);
-      ASSERT_EQ(got_profile.size(), want_profile.size());
-      for (size_t j = 0; j < got_profile.size(); ++j) {
-        EXPECT_EQ(got_profile[j].dist, want_profile[j].dist);
+      // The compressed engines read whole decoded labels here, filed in
+      // the same decode cache as the slices.
+      for (const auto& engine : served) {
+        ASSERT_EQ(engine->TopKEx(s, candidates, w, 4, &got_topk),
+                  ServeOutcome::kOk);
+        ASSERT_EQ(got_topk.size(), want_topk.size());
+        for (size_t j = 0; j < got_topk.size(); ++j) {
+          EXPECT_EQ(got_topk[j].vertex, want_topk[j].vertex);
+          EXPECT_EQ(got_topk[j].dist, want_topk[j].dist);
+        }
+        ASSERT_EQ(engine->ProfileEx(s, t, thresholds, &got_profile),
+                  ServeOutcome::kOk);
+        ASSERT_EQ(got_profile.size(), want_profile.size());
+        for (size_t j = 0; j < got_profile.size(); ++j) {
+          EXPECT_EQ(got_profile[j].dist, want_profile[j].dist);
+        }
       }
       const Vertex gs = grid_batch[i].s, gt = grid_batch[i].t;
       std::vector<Vertex> route;
-      ASSERT_EQ(grid_engine.value().PathEx(gs, gt, w, &route),
+      ASSERT_EQ(grid_engine->PathEx(gs, gt, w, &route),
                 ServeOutcome::kOk);
       const Distance truth = ConstrainedDijkstraUnit(grid, gs, gt, w);
       if (truth == kInfDistance) {
@@ -1218,10 +1340,11 @@ TEST(DifferentialFuzz, SlicedSnapshotsServeLikeFlat) {
       }
     }
     std::remove(full.c_str());
-    std::remove(written.value().manifest_path.c_str());
-    for (const std::string& p : written.value().shard_paths) {
-      std::remove(p.c_str());
+    for (const WrittenShardSet* set : {&written.value(), &cwritten.value()}) {
+      std::remove(set->manifest_path.c_str());
+      for (const std::string& p : set->shard_paths) std::remove(p.c_str());
     }
+    for (const std::string& p : three_form_paths) std::remove(p.c_str());
   }
 }
 

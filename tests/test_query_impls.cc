@@ -1,20 +1,25 @@
 // Query-implementation tests (§IV.A, §IV.C): the four algorithms must
-// return identical answers, FirstWithQuality must honor Theorem 3, and the
-// hub-reporting variant must be consistent with the plain query. The
+// return identical answers (INF at w = NaN on every label storage),
+// FirstWithQuality must honor Theorem 3, and the hub-reporting variant
+// must be consistent with the plain query. The
 // level-sliced kernel (labeling/sliced_labels.h) must answer like the flat
 // merge, pinned constraints included.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/wc_index.h"
 #include "graph/generators.h"
+#include "labeling/label_source.h"
 #include "labeling/query.h"
 #include "labeling/sliced_labels.h"
+#include "labeling/snapshot.h"
 #include "paper_fixtures.h"
 #include "util/random.h"
 
@@ -102,6 +107,58 @@ INSTANTIATE_TEST_SUITE_P(
                     std::make_tuple(80, 240, 8, 3),
                     std::make_tuple(120, 300, 2, 4),
                     std::make_tuple(60, 400, 12, 5)));
+
+// w = NaN admits no entry, so every impl answers INF on every storage: the
+// build-time LabelSet, and a finalized index serving flat, sliced (v4) and
+// compressed (v3) labels. kScan and kHubGrouped once tested
+// `quality < w`, false for NaN, and answered a finite distance.
+TEST(QueryImplsTest, NaNConstraintAnswersInfOnEveryPath) {
+  RoadOptions road;
+  road.rows = road.cols = 20;  // large enough that the writer slices it
+  road.quality.num_levels = 5;
+  const QualityGraph g = GenerateRoadNetwork(road, 3);
+  const size_t n = g.NumVertices();
+  const Quality nan = std::numeric_limits<Quality>::quiet_NaN();
+  const QueryImpl kImpls[] = {QueryImpl::kScan, QueryImpl::kHubGrouped,
+                              QueryImpl::kBinary, QueryImpl::kMerge};
+  auto expect_inf_at_nan = [&](const WcIndex& index, const char* path) {
+    size_t reachable = 0;
+    for (Vertex s = 0; s < n; s += 13) {
+      for (Vertex t = 1; t < n; t += 17) {
+        if (s == t) continue;
+        if (index.Query(s, t, 1.0f) != kInfDistance) ++reachable;
+        for (QueryImpl impl : kImpls) {
+          ASSERT_EQ(index.Query(s, t, nan, impl), kInfDistance)
+              << path << " impl=" << static_cast<int>(impl) << " " << s
+              << "->" << t;
+        }
+      }
+    }
+    EXPECT_GT(reachable, 0u) << path;  // the pairs do connect at w = 1
+  };
+
+  WcIndex index = WcIndex::Build(g, WcIndexOptions::Plus());
+  ASSERT_FALSE(index.finalized());
+  expect_inf_at_nan(index, "label set");
+  index.Finalize();
+  expect_inf_at_nan(index, "flat");
+
+  const std::string sliced_path = testing::TempDir() + "/qi_nan_sliced.wcsnap";
+  const std::string packed_path = testing::TempDir() + "/qi_nan_packed.wcsnap";
+  ASSERT_TRUE(index.SaveSnapshot(sliced_path).ok());
+  SnapshotWriteOptions compress;
+  compress.compress = true;
+  ASSERT_TRUE(index.SaveSnapshot(packed_path, compress).ok());
+  for (const auto& [path, form] :
+       {std::pair{sliced_path, LabelForm::kSliced},
+        std::pair{packed_path, LabelForm::kCompressed}}) {
+    auto mapped = WcIndex::LoadMmap(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ASSERT_EQ(mapped.value().label_source().form(), form);
+    expect_inf_at_nan(mapped.value(), LabelFormName(form));
+    std::remove(path.c_str());
+  }
+}
 
 TEST(QueryWithHubTest, ConsistentWithPlainQuery) {
   QualityModel quality;

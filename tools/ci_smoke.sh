@@ -118,6 +118,15 @@ section_cli() {
   cshard_crc=$("$CLI" serve --manifest=ci_cplanned.manifest --queries=20000 --seed=11 --verify \
     | tee /dev/stderr | crc_of)
   test "$flat_crc" = "$cshard_crc"
+  # Behind a decode cache (Query+ level slices), and with a result cache in
+  # front of it too (whole decoded labels for the interval merge): the
+  # same answers.
+  cslice_crc=$("$CLI" serve --manifest=ci_cplanned.manifest --decode-cache-mb=1 \
+    --queries=20000 --seed=11 --verify | tee /dev/stderr | crc_of)
+  test "$flat_crc" = "$cslice_crc"
+  cwhole_crc=$("$CLI" serve --manifest=ci_cplanned.manifest --decode-cache-mb=1 \
+    --cache-mb=8 --queries=20000 --seed=11 --verify | tee /dev/stderr | crc_of)
+  test "$flat_crc" = "$cwhole_crc"
   # --cold-tier on an uncompressed snapshot must be refused, not silently flat.
   if "$CLI" serve --snapshot=ci.wcsnap --cold-tier --queries=100; then
     echo "cold-tier serving unexpectedly accepted an uncompressed snapshot"
